@@ -106,24 +106,18 @@ runFleet(const fleet::FleetConfig &cfg, unsigned epochs,
 bench::Json
 perWorldJson(fleet::Fleet &fleet)
 {
-    bench::Distribution instrs, reboots, sbHit, wear, torn;
+    bench::Distribution instrs, reboots, wear, torn;
     for (std::size_t i = 0; i < fleet.size(); ++i) {
         fleet::World &w = fleet.world(i);
         const mcu::Mcu &m = w.wisp().mcu();
         instrs.add(static_cast<double>(m.instrCount()));
         reboots.add(static_cast<double>(m.rebootCount()));
-        const mcu::Mcu::SuperblockStats &sb = m.superblockStats();
-        sbHit.add(m.instrCount()
-                      ? static_cast<double>(sb.blockInstrs) /
-                            static_cast<double>(m.instrCount())
-                      : 0.0);
         wear.add(static_cast<double>(w.wisp().framRegion().totalWear()));
         torn.add(static_cast<double>(w.wisp().framRegion().tornWrites()));
     }
     bench::Json j;
     j.object("instrs", instrs.json())
         .object("reboots", reboots.json())
-        .object("sb_hit_rate", sbHit.json())
         .object("nv_wear", wear.json())
         .object("nv_torn", torn.json());
     return j;

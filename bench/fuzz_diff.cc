@@ -4,10 +4,9 @@
  *
  * Each case is a constrained random EH32 program plus a forced
  * brown-out schedule (src/fuzz/generator.hh), checked against the
- * seven oracles in src/fuzz/oracle.hh: fast-vs-reference
+ * six oracles in src/fuzz/oracle.hh: fast-vs-reference engine
  * bit-identity, snapshot resume-equivalence, from-scratch replay
- * determinism, NV-auditor soundness/completeness,
- * superblock-vs-reference bit-identity, crash-anywhere
+ * determinism, NV-auditor soundness/completeness, crash-anywhere
  * checkpoint-commit consistency (torn NV writes must never yield a
  * hybrid restore), and etap static-analyzer soundness (the
  * worst-case per-boot energy bound vs. measured drain, and the
@@ -82,8 +81,8 @@ runFuzz(const bench::Cli &cli)
     bench::banner(
         "Differential fuzz: " + std::to_string(cases) +
         " cases, seed " + std::to_string(seed) +
-        ", oracles fastref/snapshot/replay/audit/superblock/"
-        "crashanywhere, coverage-guided");
+        ", oracles fastref/snapshot/replay/audit/crashanywhere/etap, "
+        "coverage-guided");
 
     sim::Rng master(seed * 0x9E3779B97F4A7C15ULL + 1);
     fuzz::Coverage global;

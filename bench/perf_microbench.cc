@@ -20,44 +20,22 @@ using namespace edb;
 
 namespace {
 
-/** Execution-engine tiers compared by the throughput matrix. */
-enum class Engine
-{
-    Reference,  ///< Every fast-path flag off (the PR 3 baseline).
-    FastPath,   ///< PR 3 fast path, superblock tier off.
-    Superblock, ///< Full default configuration.
-};
-
 target::WispConfig
-engineConfig(Engine engine, bool noise_free)
+engineConfig(energy::Engine engine, bool noise_free)
 {
     target::WispConfig config;
-    switch (engine) {
-      case Engine::Reference:
-        config.mcu.predecodeCache = false;
-        config.mcu.flatDispatch = false;
-        config.mcu.batchedDrain = false;
-        config.mcu.batchedSlices = false;
-        config.mcu.superblocks = false;
-        config.power.fastIntegration = false;
-        break;
-      case Engine::FastPath:
-        config.mcu.superblocks = false;
-        break;
-      case Engine::Superblock:
-        break;
-    }
+    config.power.engine = engine;
     // The noise-free pair isolates the interpreter from the analog
-    // model's per-sub-step gaussian draw, which bounds every tier's
+    // model's per-sub-step gaussian draw, which bounds both engines'
     // throughput once the instruction dispatch itself is cheap.
     if (noise_free)
         config.power.harvestNoiseSigma = 0.0;
     return config;
 }
 
-/** Instruction throughput of one engine tier on bench power. */
+/** Instruction throughput of one engine on bench power. */
 void
-throughputBench(benchmark::State &state, Engine engine,
+throughputBench(benchmark::State &state, energy::Engine engine,
                 bool noise_free)
 {
     sim::Simulator simulator(1);
@@ -75,70 +53,39 @@ throughputBench(benchmark::State &state, Engine engine,
     }
     state.counters["instr/s"] = benchmark::Counter(
         static_cast<double>(instrs), benchmark::Counter::kIsRate);
-    const auto &sb = wisp.mcu().superblockStats();
-    state.counters["sb_hit"] =
-        wisp.mcu().instrCount()
-            ? static_cast<double>(sb.blockInstrs) /
-                  static_cast<double>(wisp.mcu().instrCount())
-            : 0.0;
-    state.counters["sb_execs"] = static_cast<double>(sb.execs);
-    state.counters["sb_falls"] = static_cast<double>(sb.fallbacks);
-    state.counters["sb_bails"] = static_cast<double>(sb.bailouts);
 }
 
-/** Kept under its historical name: the full default engine. */
-void
-BM_InterpreterThroughput(benchmark::State &state)
-{
-    throughputBench(state, Engine::Superblock, false);
-}
-BENCHMARK(BM_InterpreterThroughput)->Unit(benchmark::kMillisecond);
-
-/** The tier matrix behind BENCH_PR6.json (see .github CI). */
+/** The engine matrix: each engine with harvest noise on and off.
+ *  BM_Throughput_Fast is the default configuration, which earlier
+ *  reports list as BM_InterpreterThroughput. */
 void
 BM_Throughput_Reference(benchmark::State &state)
 {
-    throughputBench(state, Engine::Reference, false);
+    throughputBench(state, energy::Engine::Reference, false);
 }
 BENCHMARK(BM_Throughput_Reference)->Unit(benchmark::kMillisecond);
 
 void
-BM_Throughput_FastPath(benchmark::State &state)
+BM_Throughput_Fast(benchmark::State &state)
 {
-    throughputBench(state, Engine::FastPath, false);
+    throughputBench(state, energy::Engine::Fast, false);
 }
-BENCHMARK(BM_Throughput_FastPath)->Unit(benchmark::kMillisecond);
-
-void
-BM_Throughput_Superblock(benchmark::State &state)
-{
-    throughputBench(state, Engine::Superblock, false);
-}
-BENCHMARK(BM_Throughput_Superblock)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Throughput_Fast)->Unit(benchmark::kMillisecond);
 
 void
 BM_Throughput_ReferenceNoiseFree(benchmark::State &state)
 {
-    throughputBench(state, Engine::Reference, true);
+    throughputBench(state, energy::Engine::Reference, true);
 }
 BENCHMARK(BM_Throughput_ReferenceNoiseFree)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_Throughput_FastPathNoiseFree(benchmark::State &state)
+BM_Throughput_FastNoiseFree(benchmark::State &state)
 {
-    throughputBench(state, Engine::FastPath, true);
+    throughputBench(state, energy::Engine::Fast, true);
 }
-BENCHMARK(BM_Throughput_FastPathNoiseFree)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_Throughput_SuperblockNoiseFree(benchmark::State &state)
-{
-    throughputBench(state, Engine::Superblock, true);
-}
-BENCHMARK(BM_Throughput_SuperblockNoiseFree)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Throughput_FastNoiseFree)->Unit(benchmark::kMillisecond);
 
 /** Full intermittent-system simulation (analog + MCU + reboots). */
 void

@@ -51,8 +51,6 @@ struct Outcome
     std::uint64_t faultsInjected = 0;
     std::uint64_t brownOutsForced = 0;
     bool missingAbortReason = false;
-    mcu::Mcu::SuperblockStats sb{};
-    std::uint64_t instrs = 0;
     /** NV backend counters (mem/nv_region.hh): FRAM write traffic,
      *  per-word wear peak and torn commit bursts. */
     std::uint64_t nvWrites = 0;
@@ -172,8 +170,6 @@ runPlan(std::uint64_t index, const target::WispConfig &wisp_config)
                          inj.stats().duplicated +
                          inj.stats().adcGlitches;
     out.brownOutsForced = inj.stats().brownOutsForced;
-    out.sb = wisp.mcu().superblockStats();
-    out.instrs = wisp.mcu().instrCount();
     const mem::NvRegion &fram = wisp.framRegion();
     out.nvWrites = fram.writeCount();
     out.nvMaxWear = fram.maxWear();
@@ -221,8 +217,6 @@ main(int argc, char **argv)
         total.abortedEpisodes += o.abortedEpisodes;
         total.faultsInjected += o.faultsInjected;
         total.brownOutsForced += o.brownOutsForced;
-        bench::accumulate(total.sb, o.sb);
-        total.instrs += o.instrs;
         total.nvWrites += o.nvWrites;
         if (o.nvMaxWear > total.nvMaxWear)
             total.nvMaxWear = o.nvMaxWear;
@@ -273,9 +267,7 @@ main(int argc, char **argv)
         .object("sessions", sessions)
         .field("frames_ok", total.framesOk)
         .field("crc_errors", total.crcErrors)
-        .field("resyncs", total.resyncs)
-        .object("superblocks",
-                bench::superblockJson(total.sb, total.instrs));
+        .field("resyncs", total.resyncs);
     bench::Json nv;
     nv.field("writes", total.nvWrites)
         .field("max_wear", total.nvMaxWear)

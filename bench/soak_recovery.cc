@@ -89,11 +89,7 @@ struct World
     {
         // The auditor object always exists (it is part of the
         // snapshot layout) but is only wired into the core when the
-        // episode actually audits. An attached auditor observes
-        // every instruction, which forces per-instruction stepping;
-        // leaving it detached in stall-mode episodes lets the
-        // superblock tier run under the same snapshot/rewind
-        // machinery — architecturally identical either way.
+        // episode actually audits.
         if (with_auditor) {
             wisp.mcu().setAuditor(&aud);
             wisp.memoryMap().setWriteHook(
@@ -186,10 +182,6 @@ struct EpisodeResult
     bool recoveryFailed = false;
     sim::Tick eventTick = 0;
     sim::Tick snapTick = 0;
-    /** Superblock engine counters (nonzero in stall-mode episodes,
-     *  where the auditor is detached). */
-    mcu::Mcu::SuperblockStats sb{};
-    std::uint64_t instrs = 0;
     /** NV backend counters (mem/nv_region.hh). */
     std::uint64_t nvWrites = 0;
     std::uint64_t nvMaxWear = 0;
@@ -230,8 +222,6 @@ runEpisode(std::uint64_t index, const target::WispConfig &config)
         detect(w, mon, !stallMode, horizon, &snapImg, &snapTick);
 
     EpisodeResult res;
-    res.sb = w.wisp.mcu().superblockStats();
-    res.instrs = w.wisp.mcu().instrCount();
     const mem::NvRegion &fram = w.wisp.framRegion();
     res.nvWrites = fram.writeCount();
     res.nvMaxWear = fram.maxWear();
@@ -287,8 +277,6 @@ main(int argc, char **argv)
 
     std::uint64_t quiet = 0, findingEvents = 0, stallEvents = 0;
     std::uint64_t reproduced = 0, recoveryFailures = 0;
-    mcu::Mcu::SuperblockStats sbTotal{};
-    std::uint64_t instrTotal = 0;
     std::uint64_t nvWrites = 0, nvMaxWear = 0, nvTornBursts = 0;
     std::uint64_t tornCommits = 0;
     const target::WispConfig wispConfig =
@@ -296,8 +284,6 @@ main(int argc, char **argv)
     for (int i = 0; i < episodes; ++i) {
         EpisodeResult r =
             runEpisode(static_cast<std::uint64_t>(i), wispConfig);
-        bench::accumulate(sbTotal, r.sb);
-        instrTotal += r.instrs;
         nvWrites += r.nvWrites;
         if (r.nvMaxWear > nvMaxWear)
             nvMaxWear = r.nvMaxWear;
@@ -332,8 +318,6 @@ main(int argc, char **argv)
     bench::Json summary;
     bench::runConfigFields(summary, cli);
     summary.object("episodes", ep)
-        .object("superblocks",
-                bench::superblockJson(sbTotal, instrTotal))
         .object("nv", nv)
         .print();
 

@@ -12,12 +12,9 @@ JtagDebugger::JtagDebugger(sim::Simulator &simulator,
       rail(rail_volts, rail_ohms),
       suppliesPower(supplies_power)
 {
-    // Worst draw: the rail sinking from a capacitor at the clamp
-    // voltage with the set-point at ground.
     wisp.power().addSource(
         name() + ".rail",
-        [this](double v, double) { return rail.currentInto(v); },
-        wisp.power().config().maxVolts / rail_ohms);
+        [this](double v, double) { return rail.currentInto(v); });
 }
 
 void

@@ -28,21 +28,14 @@ EdbBoard::EdbBoard(sim::Simulator &simulator,
     auto &power = wisp.power();
 
     // Tethered supply and passive pin leakage inject through the
-    // target's power integrator: interference is *measured*. Each
-    // source declares its worst-case draw so the MCU's block-batched
-    // drain keeps running with the debugger attached: the tether can
-    // sink at most (Vmax - 0) / Rseries, the pins at most the
-    // Table 2 worst-case leakage total.
-    const double max_volts = power.config().maxVolts;
+    // target's power integrator: interference is *measured*.
     power.addSource(
         name() + ".tether",
-        [this](double v, double) { return tether.currentInto(v); },
-        max_volts / cfg.tetherOhms);
+        [this](double v, double) { return tether.currentInto(v); });
     if (cfg.attachPassiveLeakage) {
         power.addSource(
             name() + ".pin_leakage",
-            [this](double v, double) { return -pins.totalDrain(v); },
-            pins.worstCaseTotal(max_volts));
+            [this](double v, double) { return -pins.totalDrain(v); });
     }
 
     // Debug-port wiring.

@@ -12,8 +12,7 @@ ChargeCircuit::ChargeCircuit(sim::Simulator &simulator,
       cfg(config)
 {
     // The circuit is high-impedance while inactive: it neither loads
-    // nor trickle-charges the target (paper Section 4.1.1). Worst
-    // draw for the block-drain pre-check: a full-voltage discharge.
+    // nor trickle-charges the target (paper Section 4.1.1).
     power.addSource(
         name(),
         [this](double v, double) {
@@ -28,8 +27,7 @@ ChargeCircuit::ChargeCircuit(sim::Simulator &simulator,
                 return -(v / cfg.dischargeOhms);
             }
             return 0.0;
-        },
-        power.config().maxVolts / cfg.dischargeOhms);
+        });
 }
 
 void

@@ -511,7 +511,7 @@ DebugServer::installProbes()
             continue;
         if (probe.empty()) {
             // Last breakpoint on this world is gone: release the
-            // tracer so the superblock tier can resume. Fold any
+            // tracer so the world's slices run untraced again. Fold any
             // still-unaccounted buffer overflow into stats first,
             // and retire the drop watermark with the probe — a
             // stale watermark would silently swallow the drops of a

@@ -11,8 +11,9 @@
  * capacitor voltage from outside the device, during the MCU tracer
  * callback. The target never executes an extra instruction and never
  * drains an extra nanojoule, so the architectural digest of a traced
- * run is bit-identical to an untraced one (the PR 7 superblock-parity
- * guarantee makes the tracer itself free).
+ * run is bit-identical to an untraced one (the tracer only makes the
+ * fast engine resync with the event queue after every instruction,
+ * which the engine's bit-identity contract makes unobservable).
  *
  * Conditions are parsed once into a small expression tree; evaluation
  * is strictly read-only — registers via `Mcu::reg`, NV/SRAM words via

@@ -33,11 +33,7 @@ class Harvester
      * Instantaneous current delivered into the storage element.
      * @param cap_volts Present capacitor voltage.
      * @param seconds Simulated time (for time-varying sources).
-     * @return Current in amps, never negative (keeper diode). This
-     *         is a hard contract, not a convention: the power
-     *         system's block-drain pre-check
-     *         (PowerSystem::blockDrainAdmissible) assumes zero
-     *         inflow is the worst case a harvester can present.
+     * @return Current in amps, never negative (keeper diode).
      */
     virtual double currentInto(double cap_volts, double seconds) const = 0;
 

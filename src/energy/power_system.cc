@@ -91,13 +91,10 @@ PowerSystem::loadEnabled(LoadHandle handle) const
 }
 
 PowerSystem::SourceHandle
-PowerSystem::addSource(std::string source_name, SourceFn fn,
-                       double worst_draw_amps)
+PowerSystem::addSource(std::string source_name, SourceFn fn)
 {
     advanceTo(now());
-    sources.push_back(Source{std::move(source_name), std::move(fn),
-                             true, worst_draw_amps});
-    ++drawEpoch_;
+    sources.push_back(Source{std::move(source_name), std::move(fn), true});
     return sources.size() - 1;
 }
 
@@ -106,7 +103,6 @@ PowerSystem::setSourceEnabled(SourceHandle handle, bool enabled)
 {
     advanceTo(now());
     sources.at(handle).enabled = enabled;
-    ++drawEpoch_;
 }
 
 void
@@ -122,7 +118,7 @@ PowerSystem::advanceTo(sim::Tick when)
         return;
     integrating = true;
     sim::Tick t = lastUpdate;
-    const bool fast = cfg.fastIntegration;
+    const bool fast = cfg.engine == Engine::Fast;
     while (t < when) {
         sim::Tick step = std::min<sim::Tick>(cfg.maxStep, when - t);
         // Full-size sub-steps reuse the hoisted conversion; only the

@@ -22,8 +22,8 @@
 #define EDB_ENERGY_POWER_SYSTEM_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,6 +39,20 @@ class EventRearmer;
 } // namespace edb::sim
 
 namespace edb::energy {
+
+/**
+ * Simulation engine (DESIGN.md §7). Both engines are bit-identical:
+ * same instruction stream, same integration sub-steps, same RNG
+ * draws. `Fast` adds the predecode cache, flat memory dispatch, the
+ * single-sub-step instruction drain, segment-amortized slices and
+ * amortized integration; `Reference` is the plain interpreter and
+ * integrator every fast mechanism is diffed against.
+ */
+enum class Engine : std::uint8_t
+{
+    Fast,
+    Reference,
+};
 
 /** Static electrical parameters of a target power system. */
 struct PowerSystemConfig
@@ -79,15 +93,11 @@ struct PowerSystemConfig
     /** Self-tick period that keeps the model advancing while idle. */
     sim::Tick idleTickPeriod = 20 * sim::oneUs;
     /**
-     * Amortized-integration fast path: cache the enabled-load sum
-     * behind a dirty flag, hoist the ticks->seconds conversion of
-     * full-size sub-steps out of the integration loop, and skip the
-     * harvest-noise branch when sigma is zero. Bit-identical to the
-     * reference path (same sub-step sequence, same RNG draws, same
-     * double arithmetic); the flag exists so the determinism suite
-     * can diff the two.
+     * Simulation engine of the world this power system belongs to.
+     * The MCU reads it from here (see Mcu's constructor), so the
+     * analog model and the interpreter always run the same engine.
      */
-    bool fastIntegration = true;
+    Engine engine = Engine::Fast;
 };
 
 /**
@@ -132,7 +142,7 @@ class PowerSystem : public sim::Component
         }
         // Same summation order as always, so the cached value is
         // bit-identical to a fresh recomputation.
-        if (cfg.fastIntegration) {
+        if (cfg.engine == Engine::Fast) {
             loadSum = total;
             loadSumValid = true;
         }
@@ -142,18 +152,7 @@ class PowerSystem : public sim::Component
 
     /// @name Sources (signed current injections, f(volts, seconds))
     /// @{
-    /**
-     * Attach a source. `worst_draw_amps` is the caller's bound on
-     * how much current the source can ever pull *out of* the
-     * capacitor (max over all volts/time of `max(0, -fn(v, t))`);
-     * the block-batched drain uses it to prove a whole instruction
-     * block cannot brown out. The default — unbounded — is always
-     * safe: it merely keeps the block fast path off while the source
-     * is enabled.
-     */
-    SourceHandle addSource(std::string source_name, SourceFn fn,
-                           double worst_draw_amps =
-                               std::numeric_limits<double>::infinity());
+    SourceHandle addSource(std::string source_name, SourceFn fn);
     void setSourceEnabled(SourceHandle handle, bool enabled);
     /// @}
 
@@ -188,215 +187,13 @@ class PowerSystem : public sim::Component
         integrating = false;
     }
 
-    /** One precomputed integration sub-step of a superblock's drain
-     *  schedule: `dtSeconds` must equal `secondsFromTicks(dt)` and
-     *  `0 < dt <= maxStep`. */
-    struct DrainStep
-    {
-        sim::Tick dt = 0;
-        double dtSeconds = 0.0;
-    };
-
-    /**
-     * Conservative pre-check for `drainBlock`: can the capacitor be
-     * drained for `worst_seconds` at the worst admissible rate
-     * without ever crossing the brown-out threshold?
-     *
-     * The bound assumes zero harvester inflow — sound because every
-     * `Harvester::currentInto` is non-negative and the noise
-     * multiplier clamps at zero — and charges every enabled source
-     * its declared `worst_draw_amps` (undeclared sources bound to
-     * infinity, which simply fails the check). `blockDrainMargin`
-     * absorbs the sub-1e-13 V accumulation slop between this single
-     * product and the per-step forward-Euler arithmetic.
-     */
-    bool
-    blockDrainAdmissible(double worst_seconds) const
-    {
-        if (!powered || integrating)
-            return false;
-        double draw = totalLoadAmps();
-        for (const auto &src : sources) {
-            if (src.enabled)
-                draw += src.worstDrawAmps;
-        }
-        const double drop = draw * worst_seconds / cap.capacitance();
-        return cap.voltage() - drop >
-               cfg.brownOutVolts + blockDrainMargin;
-    }
-
-    /**
-     * Monotonic counter bumped whenever the worst-case draw rate can
-     * have changed (a load or source added, retuned, or switched).
-     * Superblocks key their cached admission threshold on it, which
-     * turns the steady-state admission check into one comparison.
-     */
-    std::uint64_t drawEpoch() const { return drawEpoch_; }
-
-    /**
-     * The voltage `admissibleAt` compares against for a fixed
-     * worst-case drain duration; stays valid until `drawEpoch()`
-     * moves. An enabled source with an unbounded draw declaration
-     * yields +infinity, which simply fails every admission.
-     */
-    double
-    admissionThresholdVolts(double worst_seconds) const
-    {
-        double draw = totalLoadAmps();
-        for (const auto &src : sources) {
-            if (src.enabled)
-                draw += src.worstDrawAmps;
-        }
-        return cfg.brownOutVolts + blockDrainMargin +
-               draw * worst_seconds / cap.capacitance();
-    }
-
-    /**
-     * Cached-threshold admission: with `threshold_volts` from
-     * `admissionThresholdVolts(s)` at the current draw epoch, this
-     * decides exactly what `blockDrainAdmissible(s)` decides (the
-     * rearranged comparison can only disagree within one ulp, noise
-     * that `blockDrainMargin` dwarfs by seven orders of magnitude —
-     * and either verdict is sound: admission is a conservative gate,
-     * not an architectural effect).
-     */
-    bool
-    admissibleAt(double threshold_volts) const
-    {
-        return powered && !integrating &&
-               cap.voltage() > threshold_volts;
-    }
-
-    /**
-     * Loop-fused form of `drainBlock`: the superblock executor owns
-     * one of these across a dispatch and feeds each retired thunk's
-     * exact sub-step to `substep` as it commits. The forward-Euler
-     * update is a divide-latency chain carried through the voltage
-     * (`(flatVoc - v) / flatRsrc`, then `(dq_in - dq_out) / capF`);
-     * run after the fact over a whole block, that chain is the
-     * critical path and nothing overlaps it. Interleaved with the
-     * thunk loop, the out-of-order core hides it behind the next
-     * thunk's architectural work. This is exactly the old batched
-     * loop split at its loop boundary: the constructor performs the
-     * same hoisted loads, `substep` the same per-sub-step arithmetic
-     * (same RNG draws in the same order), `commit` the same
-     * write-back — bit-identical either way.
-     *
-     * The caller must have passed `blockDrainAdmissible` over the
-     * schedule's worst-case duration, which is what licenses skipping
-     * the per-step comparator: the voltage provably never reaches the
-     * brown-out threshold, and a powered comparator that observes no
-     * crossing is a no-op.
-     */
-    class BlockDrainer
-    {
-      public:
-        explicit BlockDrainer(PowerSystem &power)
-            : ps(power), v(power.cap.voltage()),
-              capF(power.cap.capacitance()),
-              // Loads are piecewise-constant and nothing inside a
-              // block can switch one, so the reference path would
-              // recompute the same sum (in the same order) every
-              // sub-step.
-              outAmps(power.totalLoadAmps()), ci(power.chargeIn),
-              co(power.chargeOut), lu(power.lastUpdate)
-        {
-            for (const auto &src : ps.sources)
-                anySource |= src.enabled;
-            needSeconds = !ps.flatSource || anySource;
-            ps.integrating = true;
-        }
-
-        void
-        substep(const DrainStep &s)
-        {
-            const double dt_seconds = s.dtSeconds;
-            const double t_seconds =
-                needSeconds ? sim::secondsFromTicks(lu) : 0.0;
-            double in_amps;
-            if (ps.flatSource) {
-                double i = (ps.flatVoc - v) / ps.flatRsrc;
-                in_amps = i > 0.0 ? i : 0.0;
-            } else {
-                in_amps = ps.harvester->currentInto(v, t_seconds);
-            }
-            if (ps.noiseEnabled && in_amps > 0.0) {
-                double noise =
-                    1.0 +
-                    ps.sim().rng().gaussian(ps.cfg.harvestNoiseSigma);
-                in_amps *= noise < 0.0 ? 0.0 : noise;
-            }
-            if (anySource) {
-                for (const auto &src : ps.sources) {
-                    if (src.enabled)
-                        in_amps += src.fn(v, t_seconds);
-                }
-            }
-            const double dq_in = in_amps * dt_seconds;
-            const double dq_out = outAmps * dt_seconds;
-            ci += dq_in;
-            co += dq_out;
-            // Capacitor::addCharge inlined, then the maxVolts clamp,
-            // exactly as integrateStep leaves the voltage.
-            v += (dq_in - dq_out) / capF;
-            if (v < 0.0)
-                v = 0.0;
-            if (v > ps.cfg.maxVolts)
-                v = ps.cfg.maxVolts;
-            lu += s.dt;
-        }
-
-        /** Write the accumulated analog state back. Call exactly
-         *  once; a no-op write-back when no substep ran. */
-        void
-        commit()
-        {
-            ps.chargeIn = ci;
-            ps.chargeOut = co;
-            ps.cap.setVoltage(v);
-            ps.lastUpdate = lu;
-            ps.integrating = false;
-        }
-
-      private:
-        PowerSystem &ps;
-        double v;
-        const double capF;
-        const double outAmps;
-        double ci;
-        double co;
-        sim::Tick lu;
-        bool anySource = false;
-        bool needSeconds = true;
-    };
-
-    /**
-     * Batched per-block drain: integrate the exact sub-step sequence
-     * `steps[0..n)` in one call. Bit-identical to issuing
-     * `drainStep(steps[k].dt, steps[k].dtSeconds)` once per step —
-     * same forward-Euler arithmetic, same RNG draws in the same
-     * order, same charge accounting — with the per-call loads hoisted
-     * out of the loop (see BlockDrainer above for the admission
-     * precondition and the comparator-skip argument).
-     */
-    void
-    drainBlock(const DrainStep *steps, std::size_t n)
-    {
-        BlockDrainer drain(*this);
-        for (std::size_t k = 0; k < n; ++k)
-            drain.substep(steps[k]);
-        drain.commit();
-    }
-
     /**
      * Instantaneous charge withdrawal (coulombs), used by the NV
      * memory backend to bill energy-per-write against the storage
      * capacitor. Applied at the capacitor directly — no integration
      * step — then the comparator re-evaluates, so a write burst can
      * brown the device out mid-burst exactly like any other load.
-     * No-op while an integration is in flight (batched block drains
-     * never interleave with NV billing; the superblock tier is off
-     * whenever an active NV backend is attached).
+     * No-op while an integration is in flight.
      */
     void
     drawCharge(double coulombs)
@@ -485,15 +282,7 @@ class PowerSystem : public sim::Component
         std::string name;
         SourceFn fn;
         bool enabled;
-        /** Declared bound on current pulled out of the capacitor. */
-        double worstDrawAmps;
     };
-
-    /** Safety margin of the block-drain pre-check (volts). The check
-     *  compares one product against per-step summation; across the
-     *  <= 32 sub-steps of a block the floating-point disagreement is
-     *  bounded well below 1e-12 V, so a nanovolt dwarfs it. */
-    static constexpr double blockDrainMargin = 1e-9;
 
     /** One forward-Euler sub-step (defined inline, it is the single
      *  hottest function in the simulator). */
@@ -548,19 +337,14 @@ class PowerSystem : public sim::Component
     }
 
     void tick();
-    void
-    invalidateLoadSum()
-    {
-        loadSumValid = false;
-        ++drawEpoch_;
-    }
+    void invalidateLoadSum() { loadSumValid = false; }
 
     /** Re-probe the harvester for the inlineable constant-Thevenin
-     *  form (fastIntegration only; the arithmetic is identical). */
+     *  form (fast engine only; the arithmetic is identical). */
     void
     refreshFlatSource()
     {
-        flatSource = cfg.fastIntegration && harvester &&
+        flatSource = cfg.engine == Engine::Fast && harvester &&
                      harvester->theveninParams(flatVoc, flatRsrc);
     }
 
@@ -574,11 +358,9 @@ class PowerSystem : public sim::Component
     bool powered = false;
     bool integrating = false;
     bool started = false;
-    /** Cached sum of enabled load currents (fastIntegration). */
+    /** Cached sum of enabled load currents (fast engine). */
     mutable double loadSum = 0.0;
     mutable bool loadSumValid = false;
-    /** See drawEpoch(); starts above any block's zero stamp. */
-    std::uint64_t drawEpoch_ = 1;
     /** secondsFromTicks(cfg.maxStep), hoisted out of advanceTo. */
     double maxStepSeconds = 0.0;
     bool noiseEnabled = false;

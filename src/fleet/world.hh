@@ -61,7 +61,8 @@ struct WorldConfig
     /** Forced brown-out schedule (auditor sweeps). */
     std::vector<fuzz::BrownOut> schedule;
     /** PC of the WAR gadget's completion label (0 = no watch).
-     *  Installs a tracer, so such worlds run un-superblocked. */
+     *  Installs a tracer, which the world's slices call after every
+     *  instruction. */
     mem::Addr warDoneWatch = 0;
 };
 

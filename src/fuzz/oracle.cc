@@ -65,14 +65,8 @@ worldConfig(const OracleCase &c, bool reference, bool checkpointing,
         config.mcu.commitDiscipline = mcu::CommitDiscipline::Sealed;
         config.mcu.interruptibleCommit = true;
     }
-    if (reference) {
-        config.mcu.predecodeCache = false;
-        config.mcu.flatDispatch = false;
-        config.mcu.batchedDrain = false;
-        config.mcu.batchedSlices = false;
-        config.mcu.superblocks = false;
-        config.power.fastIntegration = false;
-    }
+    if (reference)
+        config.power.engine = energy::Engine::Reference;
     return config;
 }
 
@@ -366,14 +360,17 @@ runFastRef(const OracleCase &c, Coverage *cov)
     World::Options opt;
     opt.checkpointing = c.checkpointing;
 
+    // Fast leg: deliberately NOT instrumented, so the slice loop
+    // runs whole event-free segments as it does in production.
     World fast(c, prog, opt);
-    fast.instrument(cov);
-    fast.runTo(c.horizon, cov);
+    fast.runTo(c.horizon, nullptr);
 
+    // The reference leg carries the coverage tracer; bit-identity
+    // must hold across the instrumentation difference too.
     opt.reference = true;
     World ref(c, prog, opt);
-    ref.instrument(nullptr); // symmetric tracer attachment
-    ref.runTo(c.horizon, nullptr);
+    ref.instrument(cov);
+    ref.runTo(c.horizon, cov);
 
     Digest a = digestOf(fast);
     Digest b = digestOf(ref);
@@ -513,38 +510,6 @@ runAudit(const OracleCase &c, Coverage *cov)
         s << "auditor missed the seeded WAR hazard ("
           << w.lossAfterGadget << " losses after war_done)";
         out.detail = s.str();
-    }
-    return out;
-}
-
-OracleOutcome
-runSuperblock(const OracleCase &c, Coverage *cov)
-{
-    isa::Program prog = isa::assemble(c.program);
-    World::Options opt;
-    opt.checkpointing = c.checkpointing;
-
-    // Superblock leg: deliberately NOT instrumented. A tracer must
-    // observe every retired instruction, so attaching one drops the
-    // core to per-instruction stepping and the oracle would compare
-    // the interpreter against itself. (This is also why FastRef's
-    // instrumented fast leg never dispatches superblocks.)
-    World sb(c, prog, opt);
-    sb.runTo(c.horizon, nullptr);
-
-    // The reference leg carries the coverage tracer; bit-identity
-    // must hold across the instrumentation difference too.
-    opt.reference = true;
-    World ref(c, prog, opt);
-    ref.instrument(cov);
-    ref.runTo(c.horizon, cov);
-
-    Digest a = digestOf(sb);
-    Digest b = digestOf(ref);
-    OracleOutcome out;
-    if (!(a == b)) {
-        out.failed = true;
-        out.detail = digestDiff("superblock", a, "reference", b);
     }
     return out;
 }
@@ -753,7 +718,6 @@ oracleName(OracleId id)
       case OracleId::Snapshot: return "snapshot";
       case OracleId::Replay: return "replay";
       case OracleId::Audit: return "audit";
-      case OracleId::Superblock: return "superblock";
       case OracleId::CrashAnywhere: return "crashanywhere";
       case OracleId::Etap: return "etap";
     }
@@ -790,7 +754,6 @@ runOracle(OracleId id, const OracleCase &c, Coverage *coverage)
       case OracleId::Snapshot: return runSnapshot(c, coverage);
       case OracleId::Replay: return runReplay(c, coverage);
       case OracleId::Audit: return runAudit(c, coverage);
-      case OracleId::Superblock: return runSuperblock(c, coverage);
       case OracleId::CrashAnywhere:
         return runCrashAnywhere(c, coverage);
       case OracleId::Etap: return runEtap(c, coverage);

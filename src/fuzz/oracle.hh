@@ -7,10 +7,15 @@
  * can be written to disk as a regression artifact and replayed
  * byte-for-byte later (see fuzz/corpus.hh). The oracles:
  *
- *  - FastRef: the full fast-path kernel vs the all-flags-off
- *    reference path must agree on every architectural statistic, the
- *    final register file, both memory images (CRC) and the exact
- *    capacitor voltage (DESIGN.md §7's bit-identity contract).
+ *  - FastRef: the fast engine vs the reference engine must agree on
+ *    every architectural statistic, the final register file, both
+ *    memory images (CRC) and the exact capacitor voltage (DESIGN.md
+ *    §7's bit-identity contract). The fast leg runs un-instrumented,
+ *    so its segment-amortized slice loop runs as in production (a
+ *    tracer would make it resync with the event queue after every
+ *    instruction); the reference leg carries the coverage tracer, so
+ *    bit-identity must also hold across the instrumentation
+ *    difference.
  *  - Snapshot: saving the world mid-run and resuming it in a fresh
  *    simulator must reach the same end state as the uninterrupted
  *    run (§8.1's resume-equivalence contract).
@@ -23,11 +28,6 @@
  *    (soundness and completeness of §8.2's taint machine). When the
  *    power trace never lost power after the gadget ran, the
  *    completeness half is inconclusive, not a failure.
- *  - Superblock: the threaded-code superblock tier vs the reference
- *    interpreter (§10). Unlike FastRef — whose fast leg carries a
- *    tracer, which forces per-instruction stepping — the superblock
- *    leg runs un-instrumented so blocks actually dispatch; the
- *    reference leg carries the coverage tracer instead.
  *  - Etap: the static energy analyzer (src/analysis/, DESIGN.md §14)
  *    cross-checked against simulated ground truth. Soundness: the
  *    analyzer's worst-case boot-to-persist charge bound must never
@@ -69,15 +69,14 @@ enum class OracleId : std::uint8_t
     Snapshot,
     Replay,
     Audit,
-    Superblock,
     CrashAnywhere,
     Etap,
 };
 
-constexpr unsigned numOracles = 7;
+constexpr unsigned numOracles = 6;
 
 /** Stable artifact name ("fastref", "snapshot", "replay", "audit",
- *  "superblock", "crashanywhere", "etap"). */
+ *  "crashanywhere", "etap"). */
 const char *oracleName(OracleId id);
 std::optional<OracleId> oracleFromName(const std::string &name);
 

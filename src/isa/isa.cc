@@ -188,30 +188,6 @@ isBranch(Opcode op)
     }
 }
 
-BlockBoundary
-blockBoundary(Opcode op)
-{
-    switch (op) {
-      case Opcode::Br:
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-      case Opcode::Bltu:
-      case Opcode::Bgeu:
-        return BlockBoundary::Branch;
-      case Opcode::Halt:
-      case Opcode::Call:
-      case Opcode::Callr:
-      case Opcode::Ret:
-      case Opcode::Reti:
-      case Opcode::Chkpt:
-        return BlockBoundary::Barrier;
-      default:
-        return BlockBoundary::None;
-    }
-}
-
 unsigned
 baseCycles(Opcode op)
 {

@@ -152,24 +152,6 @@ std::string disassemble(const Instr &instr);
 bool isBranch(Opcode op);
 
 /**
- * How an opcode bounds a straight-line superblock (see DESIGN.md
- * §10). `Branch` ops end a block but belong to it (their target is
- * resolvable from the block PC and the flags); `Barrier` ops — HALT,
- * CHKPT, calls and returns — are never compiled into a block, because
- * their cost or control flow depends on live machine state the block
- * builder cannot see.
- */
-enum class BlockBoundary : std::uint8_t
-{
-    None,    ///< Straight-line body instruction.
-    Branch,  ///< Conditional/unconditional branch: block terminator.
-    Barrier, ///< Excluded from blocks entirely.
-};
-
-/** Classify `op` for the superblock builder / listing annotator. */
-BlockBoundary blockBoundary(Opcode op);
-
-/**
  * Base cycle cost of an opcode at the core clock (memory and
  * peripheral accesses add extra cycles; see McuConfig).
  */

@@ -87,24 +87,8 @@ writeListing(std::ostream &os, const Program &program,
             for (int b = 0; b < 4; ++b) {
                 word |= std::uint32_t(seg.bytes[i + b]) << (8 * b);
             }
-            std::string line =
-                listingLine(addr, word, options.decodeInstructions);
-            if (options.markBlockBoundaries &&
-                options.decodeInstructions) {
-                if (auto instr = decode(word)) {
-                    switch (blockBoundary(instr->op)) {
-                      case BlockBoundary::Branch:
-                        line += "  ; <= block end";
-                        break;
-                      case BlockBoundary::Barrier:
-                        line += "  ; <= block barrier";
-                        break;
-                      case BlockBoundary::None:
-                        break;
-                    }
-                }
-            }
-            if (!emit(line))
+            if (!emit(listingLine(addr, word,
+                                  options.decodeInstructions)))
                 return lines;
         }
     }

@@ -28,10 +28,6 @@ struct ListingOptions
     bool decodeInstructions = true;
     /** Include a symbol cross-reference header. */
     bool symbolTable = true;
-    /** Annotate instructions that bound a superblock (branches and
-     *  barriers — see isa::blockBoundary), showing where the MCU's
-     *  block compiler must cut its straight-line traces. */
-    bool markBlockBoundaries = false;
     /** Limit emitted lines (0 = no limit). */
     std::size_t maxLines = 0;
 };

@@ -60,30 +60,15 @@ Mcu::Mcu(sim::Simulator &simulator, std::string component_name,
       cursor(time_cursor),
       mem_(memory),
       power(power_sys),
-      cfg(config)
+      cfg(config),
+      fast_(power_sys.config().engine == energy::Engine::Fast)
 {
     cyclePeriod_ = sim::ticksFromSeconds(1.0 / cfg.clockHz);
     chkptEnabled = cfg.checkpointingEnabled;
     coreLoad = power.addLoad(name() + ".core", cfg.activeAmps, false);
     power.addPowerListener([this](bool on) { onPowerChange(on); });
     powerMaxStep_ = power.config().maxStep;
-    mem_.setFindCacheEnabled(cfg.flatDispatch);
-    if (cfg.superblockMaxLen > superblockLenCap)
-        cfg.superblockMaxLen = superblockLenCap;
-    if (cfg.superblockMinLen < 1)
-        cfg.superblockMinLen = 1;
-    // The block tier leans on all three underlying fast paths: the
-    // predecode cache (decode + costing + the write watch), batched
-    // drain (aligned lastUpdate ticks) and batched slices (the
-    // segment bounds that cap a block's drain horizon).
-    sbEnabled_ = cfg.superblocks && cfg.predecodeCache &&
-                 cfg.batchedDrain && cfg.batchedSlices;
-    // Build-gate horizon: a full-length block of worst-typical (4
-    // cycle) instructions. Heuristic only — dispatch admissibility
-    // always uses the candidate block's exact worst case.
-    sbBuildGateSeconds_ = sim::secondsFromTicks(
-        static_cast<sim::Tick>(cfg.superblockMaxLen) * 4 *
-        cyclePeriod_);
+    mem_.setFindCacheEnabled(fast_);
 }
 
 Mcu::~Mcu()
@@ -152,7 +137,7 @@ Mcu::loadProgram(const isa::Program &program)
     entry = program.entry;
     irqHandler = program.irqHandler;
     chkptEnabled = cfg.checkpointingEnabled;
-    invalidateCodeCaches();
+    icacheInvalidateAll();
     invalidateCheckpoints();
     if (audit_)
         audit_->reset();
@@ -165,37 +150,29 @@ Mcu::icacheEnsure()
     mem::Addr lo = ~mem::Addr{0};
     mem::Addr hi = 0;
     framRanges_.clear();
-    mmioRanges_.clear();
     for (auto *region : mem_.regions()) {
         if (region->kind() == mem::RegionKind::Fram)
             framRanges_.emplace_back(region->base(), region->size());
-        if (region->kind() == mem::RegionKind::Mmio) {
-            mmioRanges_.emplace_back(region->base(), region->size());
+        if (region->kind() == mem::RegionKind::Mmio)
             continue;
-        }
         lo = std::min(lo, region->base());
         hi = std::max(hi, region->base() + region->size());
     }
     if (lo >= hi) {
         icache_.clear();
         icacheValid_.clear();
-        blockAt_.clear();
-        blocks_.clear();
         return;
     }
     lo &= ~mem::Addr{3};
     icacheBase_ = lo;
     icache_.assign((hi - lo) / 4, {});
     icacheValid_.assign(icache_.size(), 0);
-    blockAt_.assign(icache_.size(), sbNone);
-    blocks_.clear();
     // Any routed store into the cached span drops the covering word
-    // (the map clears the valid byte directly) and, when that word
-    // was live predecoded state, bumps the code epoch that keys the
-    // superblock cache. Bulk mutations that bypass the map
-    // (Ram::load, SRAM poison) are handled by the explicit
-    // invalidateCodeCaches calls in loadProgram and onPowerChange.
-    mem_.setWriteWatch(lo, hi, icacheValid_.data(), &codeEpoch_);
+    // (the map clears the valid byte directly). Bulk mutations that
+    // bypass the map (Ram::load, SRAM poison) are handled by the
+    // explicit icacheInvalidateAll calls in loadProgram,
+    // onPowerChange and restoreState.
+    mem_.setWriteWatch(lo, hi, icacheValid_.data());
 }
 
 void
@@ -204,22 +181,6 @@ Mcu::icacheInvalidateAll()
     if (!icacheValid_.empty())
         std::fill(icacheValid_.begin(), icacheValid_.end(),
                   std::uint8_t{0});
-}
-
-void
-Mcu::invalidateCodeCaches()
-{
-    // Both decode tiers invalidate through this one helper: the
-    // predecode cache by clearing every valid byte, the superblocks
-    // lazily by the epoch bump (each block re-verifies its epoch at
-    // dispatch and recompiles from current memory when stale).
-    icacheInvalidateAll();
-    ++codeEpoch_;
-    // "Unbuildable" leader verdicts were reached against the old
-    // code image; give those words a fresh chance.
-    if (!blockAt_.empty())
-        std::replace(blockAt_.begin(), blockAt_.end(), sbUnbuildable,
-                     sbNone);
 }
 
 void
@@ -263,19 +224,6 @@ Mcu::invalidateCheckpoints()
 }
 
 void
-Mcu::setNvRegion(mem::NvRegion *region)
-{
-    nv_ = region;
-    if (nv_ && nv_->active()) {
-        // Batched block execution skips per-write hooks; an active NV
-        // backend (energy/wear modelling) must see every write, so
-        // force the per-instruction path. (With the code region's
-        // direct store unpublished, blocks could never build anyway.)
-        sbEnabled_ = false;
-    }
-}
-
-void
 Mcu::onPowerChange(bool on)
 {
     if (on) {
@@ -304,8 +252,8 @@ Mcu::onPowerChange(bool on)
     }
     power.setLoadEnabled(coreLoad, false);
     // The reset hook poisons SRAM behind the map's back; any
-    // predecoded instruction (and any superblock) may now be stale.
-    invalidateCodeCaches();
+    // predecoded instruction may now be stale.
+    icacheInvalidateAll();
     if (resetHook)
         resetHook();
 }
@@ -343,7 +291,7 @@ Mcu::runSlice()
         return;
     sim::Tick t = std::max(now(), cursor.now());
     sim::Tick end = t + cfg.sliceQuantum;
-    if (!cfg.batchedSlices) {
+    if (!fast_) {
         // Reference path: peek the event queue before every
         // instruction.
         while (state_ == McuState::Running && t < end) {
@@ -361,10 +309,6 @@ Mcu::runSlice()
         // such an instruction. Instruction-for-instruction identical
         // to the reference path.
         const bool traced = static_cast<bool>(tracer);
-        // The superblock tier needs every per-instruction observer
-        // quiet: a tracer or auditor must see each instruction, so
-        // their presence drops execution to the step() path.
-        const bool sb_ok = sbEnabled_ && !traced && !audit_;
         while (state_ == McuState::Running && t < end) {
             sim::Tick next_evt = sim().nextEventTime();
             if (next_evt <= t)
@@ -373,8 +317,6 @@ Mcu::runSlice()
             bool live = true;
             mem_.clearMmioTouched();
             while (state_ == McuState::Running && t < seg_end) {
-                if (sb_ok && tryRunBlock(t, seg_end))
-                    continue; // blocks never touch MMIO or events
                 if (!step(t)) {
                     live = false;
                     break;
@@ -428,7 +370,7 @@ Mcu::step(sim::Tick &t)
     InstrClass cls = InstrClass::Static;
     std::size_t idx = 0;
     bool cacheable = false;
-    if (cfg.predecodeCache) {
+    if (fast_) {
         if (!icacheReady_)
             icacheEnsure();
         if (!(pc_ & 3u) && pc_ >= icacheBase_) {
@@ -513,7 +455,7 @@ Mcu::step(sim::Tick &t)
     // Drain the supply across the instruction; a brown-out mid
     // instruction kills it before it commits.
     sim::Tick dt = static_cast<sim::Tick>(cyc) * cyclePeriod_;
-    if (cfg.batchedDrain && dt <= powerMaxStep_ &&
+    if (fast_ && dt <= powerMaxStep_ &&
         power.lastUpdateTick() == t) {
         if (!have_dt_sec)
             dt_sec = sim::secondsFromTicks(dt);
@@ -556,466 +498,6 @@ Mcu::step(sim::Tick &t)
         if (state_ != McuState::Running)
             return false;
     }
-    return true;
-}
-
-bool
-Mcu::tryRunBlock(sim::Tick &t, sim::Tick seg_end)
-{
-    // Anything that makes the next instruction special — a pending
-    // sleep, a raised debug IRQ, a power integrator that is not
-    // aligned to `t` — drops to the step() path, which handles it
-    // exactly like the reference interpreter.
-    if (sleepCycles > 0 || irqLine || power.lastUpdateTick() != t)
-        return false;
-    if (!icacheReady_)
-        icacheEnsure();
-    if ((pc_ & 3u) || pc_ < icacheBase_)
-        return false;
-    const std::size_t idx = (pc_ - icacheBase_) >> 2;
-    if (idx >= blockAt_.size())
-        return false;
-    std::int32_t bi = blockAt_[idx];
-    if (bi == sbUnbuildable)
-        return false;
-    if (bi == sbNone) {
-        // Anti-thrash gate: compiling right at the brown-out edge
-        // would produce blocks that fail admission on every
-        // dispatch until the power dies anyway.
-        if (!power.blockDrainAdmissible(sbBuildGateSeconds_)) {
-            ++sbStats_.fallbacks;
-            return false;
-        }
-        bi = buildBlockAt(pc_, idx);
-        if (bi < 0)
-            return false;
-    }
-    Superblock &b = blocks_[static_cast<std::size_t>(bi)];
-    if (b.epoch != codeEpoch_) {
-        // A store landed on live code (or the caches were bulk
-        // invalidated) since this block was compiled. Recompile from
-        // current memory; re-decoding every word through the icache
-        // fill re-arms the valid bytes, so the *next* overwrite
-        // bumps the epoch again. Never shortcut this with a content
-        // compare: a same-value store clears the valid byte without
-        // re-arming it, and a stamp-only revalidation would let the
-        // following (different-value) store go unnoticed.
-        ++sbStats_.rebuilds;
-        if (!buildInto(b, b.base)) {
-            blockAt_[idx] = sbUnbuildable;
-            return false;
-        }
-    }
-    // Admission: the block must fit inside the event-free segment,
-    // and the supply must provably survive its worst-case drain.
-    // When the whole block does not fit the remaining segment, run
-    // the longest prefix that does — blocks are straight-line, so a
-    // prefix is architecturally just the same instructions with the
-    // block ending early. Without this, every segment tail would pay
-    // one failed dispatch per remaining instruction. Power
-    // inadmissibility is the only true fallback: that is where
-    // mid-block brown-outs are allowed to happen, per-instruction.
-    // The threshold the voltage is compared against is cached per
-    // block and revalidated by draw epoch, so the steady-state
-    // admission is one load and one compare.
-    if (b.drawStamp != power.drawEpoch()) {
-        b.admitVolts =
-            power.admissionThresholdVolts(b.worstSeconds);
-        b.drawStamp = power.drawEpoch();
-    }
-    if (t + b.worstDt > seg_end) {
-        const sim::Tick budget = seg_end - t;
-        sim::Tick wdt = 0;
-        double wsec = 0.0;
-        std::size_t k = 0;
-        while (k < b.ops.size() &&
-               wdt + b.ops[k].framStep.dt <= budget) {
-            wdt += b.ops[k].framStep.dt;
-            wsec += b.ops[k].framStep.dtSeconds;
-            ++k;
-        }
-        // The full-block threshold over-approximates any prefix's;
-        // only when it fails is the exact prefix check worth it.
-        if (k == 0 || (!power.admissibleAt(b.admitVolts) &&
-                       !power.blockDrainAdmissible(wsec))) {
-            ++sbStats_.fallbacks;
-            return false;
-        }
-        if (runBlock(t, b, k))
-            return true;
-    } else {
-        if (!power.admissibleAt(b.admitVolts)) {
-            ++sbStats_.fallbacks;
-            return false;
-        }
-        if (runBlock(t, b, b.ops.size()))
-            return true;
-    }
-    // Zero instructions retired: the leader thunk itself bailed.
-    // A leader that keeps doing that (typically a store whose
-    // effective address always resolves to MMIO) makes every
-    // dispatch pure overhead, so demote the entry point after a
-    // streak. Purely a dispatch heuristic — the instructions still
-    // execute, via step() — and invalidateCodeCaches resets the
-    // verdict along with every other unbuildable one.
-    if (++b.zeroBails >= sbZeroBailDemoteLimit)
-        blockAt_[idx] = sbUnbuildable;
-    return false;
-}
-
-std::int32_t
-Mcu::buildBlockAt(mem::Addr pc, std::size_t idx)
-{
-    if (blocks_.size() >= sbMaxBlocks) {
-        blockAt_[idx] = sbUnbuildable;
-        return sbUnbuildable;
-    }
-    blocks_.emplace_back();
-    if (!buildInto(blocks_.back(), pc)) {
-        blocks_.pop_back();
-        blockAt_[idx] = sbUnbuildable;
-        return sbUnbuildable;
-    }
-    const auto bi = static_cast<std::int32_t>(blocks_.size() - 1);
-    blockAt_[idx] = bi;
-    return bi;
-}
-
-bool
-Mcu::buildInto(Superblock &b, mem::Addr pc)
-{
-    b.base = pc;
-    b.ops.clear();
-    b.worstDt = 0;
-    b.worstSeconds = 0.0;
-    b.drawStamp = 0; // worstSeconds moves, so the threshold must too
-    mem::Region *region = mem_.find(pc);
-    if (!region || !region->directStore())
-        return false; // never compile out of MMIO-backed words
-    const std::uint8_t *store = region->directStore();
-    const mem::Addr region_end = region->base() + region->size();
-    const std::size_t max_len = std::min<std::size_t>(
-        (region_end - pc) / 4, cfg.superblockMaxLen);
-    for (std::size_t k = 0; k < max_len; ++k) {
-        const mem::Addr ipc = pc + static_cast<mem::Addr>(k * 4);
-        const std::size_t slot = (ipc - icacheBase_) >> 2;
-        if (!icacheValid_[slot]) {
-            // Fill the predecode slot from the region's backing
-            // store. Setting the valid byte arms the write watch for
-            // this word, which is what keeps the block's epoch check
-            // sound: every word of a current-epoch block has its
-            // valid byte set, so any overwrite bumps the epoch.
-            const std::size_t off = ipc - region->base();
-            const std::uint32_t word =
-                static_cast<std::uint32_t>(store[off]) |
-                (static_cast<std::uint32_t>(store[off + 1]) << 8) |
-                (static_cast<std::uint32_t>(store[off + 2]) << 16) |
-                (static_cast<std::uint32_t>(store[off + 3]) << 24);
-            auto decoded = isa::decode(word);
-            if (!decoded)
-                break;
-            unsigned cyc = 0;
-            InstrClass cls = InstrClass::Static;
-            classifyCost(decoded->op, cyc, cls);
-            icache_[slot] = CachedInstr{
-                *decoded, cyc,
-                sim::secondsFromTicks(static_cast<sim::Tick>(cyc) *
-                                      cyclePeriod_),
-                cls};
-            icacheValid_[slot] = 1;
-        }
-        const CachedInstr &ci = icache_[slot];
-        const isa::BlockBoundary bb = isa::blockBoundary(ci.instr.op);
-        if (bb == isa::BlockBoundary::Barrier)
-            break; // HALT / CHKPT / calls / returns end the region
-        SbOp op;
-        op.instr = ci.instr;
-        op.cyc = ci.cycles;
-        op.framCyc = ci.cycles;
-        op.step.dt = static_cast<sim::Tick>(ci.cycles) * cyclePeriod_;
-        op.step.dtSeconds = ci.dtSeconds;
-        op.framStep = op.step;
-        if (ci.cls == InstrClass::Store) {
-            op.framCyc = ci.cycles + cfg.framWriteExtraCycles;
-            op.framStep.dt =
-                static_cast<sim::Tick>(op.framCyc) * cyclePeriod_;
-            // Same pure function step() uses for the FRAM surcharge
-            // path, so the sub-step seconds match bit for bit.
-            op.framStep.dtSeconds =
-                sim::secondsFromTicks(op.framStep.dt);
-        }
-        // Every sub-step must individually satisfy the batched-drain
-        // gate step() applies per instruction.
-        if (op.framStep.dt > powerMaxStep_ || op.step.dt <= 0)
-            break;
-        b.ops.push_back(op);
-        b.worstDt += op.framStep.dt;
-        b.worstSeconds += op.framStep.dtSeconds;
-        if (bb == isa::BlockBoundary::Branch)
-            break; // a branch is the block's terminal thunk
-    }
-    if (b.ops.size() < cfg.superblockMinLen)
-        return false;
-    b.epoch = codeEpoch_;
-    ++sbStats_.blocksBuilt;
-    return true;
-}
-
-bool
-Mcu::runBlock(sim::Tick &t, Superblock &b, std::size_t n_max)
-{
-    using isa::Opcode;
-    const std::uint64_t entry_epoch = codeEpoch_;
-    const std::size_t n = n_max;
-    std::uint64_t cyc_sum = 0;
-    sim::Tick dt_sum = 0;
-    std::size_t done = 0;
-    mem::Addr next_pc = b.base;
-    bool bailed = false;
-
-    // Drain-behind, loop-fused: each thunk retires architecturally
-    // and then immediately feeds its exact sub-step to the drainer.
-    // Admission already proved the supply survives the worst-case
-    // whole block, so the retired prefix cannot brown out, and
-    // nothing inside a block reads the analog state or touches the
-    // event queue — so draining after each thunk instead of once at
-    // the end is unobservable, produces the identical per-instruction
-    // sub-step sequence (and RNG draws) the reference path would
-    // have, and lets the core overlap the forward-Euler divide chain
-    // with the next thunk's work.
-    energy::PowerSystem::BlockDrainer drain(power);
-    for (std::size_t j = 0; j < n; ++j) {
-        const SbOp &op = b.ops[j];
-        const isa::Instr &i = op.instr;
-        const auto uimm = static_cast<std::uint32_t>(i.imm);
-        switch (i.op) {
-          case Opcode::Nop:
-            break;
-          case Opcode::Li:
-            regs[i.rd] = uimm;
-            break;
-          case Opcode::Lui:
-            regs[i.rd] = (uimm & 0xFFFFu) << 16;
-            break;
-          case Opcode::Mov:
-            regs[i.rd] = regs[i.rs];
-            break;
-          case Opcode::Add:
-            regs[i.rd] = regs[i.rs] + regs[i.rt];
-            break;
-          case Opcode::Sub:
-            regs[i.rd] = regs[i.rs] - regs[i.rt];
-            break;
-          case Opcode::Mul:
-            regs[i.rd] = regs[i.rs] * regs[i.rt];
-            break;
-          case Opcode::Divu:
-            regs[i.rd] = regs[i.rt] == 0 ? 0xFFFFFFFFu
-                                         : regs[i.rs] / regs[i.rt];
-            break;
-          case Opcode::Remu:
-            regs[i.rd] = regs[i.rt] == 0 ? regs[i.rs]
-                                         : regs[i.rs] % regs[i.rt];
-            break;
-          case Opcode::And:
-            regs[i.rd] = regs[i.rs] & regs[i.rt];
-            break;
-          case Opcode::Or:
-            regs[i.rd] = regs[i.rs] | regs[i.rt];
-            break;
-          case Opcode::Xor:
-            regs[i.rd] = regs[i.rs] ^ regs[i.rt];
-            break;
-          case Opcode::Shl:
-            regs[i.rd] = regs[i.rs] << (regs[i.rt] & 31u);
-            break;
-          case Opcode::Shr:
-            regs[i.rd] = regs[i.rs] >> (regs[i.rt] & 31u);
-            break;
-          case Opcode::Sar:
-            regs[i.rd] = static_cast<std::uint32_t>(
-                static_cast<std::int32_t>(regs[i.rs]) >>
-                (regs[i.rt] & 31u));
-            break;
-          case Opcode::Addi:
-            regs[i.rd] = regs[i.rs] + uimm;
-            break;
-          case Opcode::Andi:
-            regs[i.rd] = regs[i.rs] & (uimm & 0xFFFFu);
-            break;
-          case Opcode::Ori:
-            regs[i.rd] = regs[i.rs] | (uimm & 0xFFFFu);
-            break;
-          case Opcode::Xori:
-            regs[i.rd] = regs[i.rs] ^ (uimm & 0xFFFFu);
-            break;
-          case Opcode::Shli:
-            regs[i.rd] = regs[i.rs] << (uimm & 31u);
-            break;
-          case Opcode::Shri:
-            regs[i.rd] = regs[i.rs] >> (uimm & 31u);
-            break;
-          case Opcode::Cmp:
-            setFlagsFromCompare(regs[i.rs], regs[i.rt]);
-            break;
-          case Opcode::Cmpi:
-            setFlagsFromCompare(regs[i.rs], uimm);
-            break;
-          case Opcode::Ldw: {
-            const mem::Addr ea = regs[i.rs] + uimm;
-            std::uint32_t v;
-            // MMIO reads have side effects and may schedule events;
-            // a faulting access must be (re)run by step() so the
-            // fault commits with reference semantics. Either way:
-            // bail before any architectural change.
-            if (touchesMmio(ea) ||
-                mem_.read32(ea, v) != mem::AccessResult::Ok) {
-                bailed = true;
-                goto out;
-            }
-            regs[i.rd] = v;
-            break;
-          }
-          case Opcode::Ldb: {
-            const mem::Addr ea = regs[i.rs] + uimm;
-            std::uint8_t v;
-            if (touchesMmio(ea) ||
-                mem_.read8(ea, v) != mem::AccessResult::Ok) {
-                bailed = true;
-                goto out;
-            }
-            regs[i.rd] = v;
-            break;
-          }
-          case Opcode::Stw:
-          case Opcode::Stb: {
-            const mem::Addr ea = regs[i.rs] + uimm;
-            if (touchesMmio(ea)) {
-                bailed = true;
-                goto out;
-            }
-            const bool fram = eaInFram(ea);
-            const mem::AccessResult res =
-                i.op == Opcode::Stw
-                    ? mem_.write32(ea, regs[i.rd])
-                    : mem_.write8(
-                          ea, static_cast<std::uint8_t>(regs[i.rd]));
-            if (res != mem::AccessResult::Ok) {
-                bailed = true;
-                goto out;
-            }
-            const auto &st = fram ? op.framStep : op.step;
-            drain.substep(st);
-            cyc_sum += fram ? op.framCyc : op.cyc;
-            dt_sum += st.dt;
-            ++done;
-            next_pc += 4;
-            if (codeEpoch_ != entry_epoch) {
-                // Self-modifying store over live code (possibly this
-                // very block). The store itself retired; everything
-                // after it must re-decode.
-                bailed = true;
-                goto out;
-            }
-            continue;
-          }
-          case Opcode::Push: {
-            const mem::Addr ea = regs[isa::regSp] - 4;
-            // Bail before the sp decrement: step() then replays the
-            // instruction and faults with sp decremented, exactly as
-            // the reference interpreter does.
-            if (touchesMmio(ea) ||
-                mem_.write32(ea, regs[i.rd]) !=
-                    mem::AccessResult::Ok) {
-                bailed = true;
-                goto out;
-            }
-            regs[isa::regSp] = ea;
-            drain.substep(op.step);
-            cyc_sum += op.cyc;
-            dt_sum += op.step.dt;
-            ++done;
-            next_pc += 4;
-            if (codeEpoch_ != entry_epoch) {
-                // Stack writes can land on ex-code words too.
-                bailed = true;
-                goto out;
-            }
-            continue;
-          }
-          case Opcode::Pop: {
-            const mem::Addr ea = regs[isa::regSp];
-            std::uint32_t v;
-            if (touchesMmio(ea) ||
-                mem_.read32(ea, v) != mem::AccessResult::Ok) {
-                bailed = true;
-                goto out;
-            }
-            regs[isa::regSp] = ea + 4;
-            regs[i.rd] = v;
-            break;
-          }
-          case Opcode::Br:
-          case Opcode::Beq:
-          case Opcode::Bne:
-          case Opcode::Blt:
-          case Opcode::Bge:
-          case Opcode::Bltu:
-          case Opcode::Bgeu: {
-            bool taken = false;
-            switch (i.op) {
-              case Opcode::Br: taken = true; break;
-              case Opcode::Beq: taken = flags_.z; break;
-              case Opcode::Bne: taken = !flags_.z; break;
-              case Opcode::Blt: taken = flags_.n != flags_.v; break;
-              case Opcode::Bge: taken = flags_.n == flags_.v; break;
-              case Opcode::Bltu: taken = !flags_.c; break;
-              case Opcode::Bgeu: taken = flags_.c; break;
-              default: break;
-            }
-            const mem::Addr ipc =
-                b.base + static_cast<mem::Addr>(j * 4);
-            next_pc = ipc + 4 + (taken ? uimm : 0);
-            drain.substep(op.step);
-            cyc_sum += op.cyc;
-            dt_sum += op.step.dt;
-            ++done;
-            goto out; // the terminal thunk of the block
-          }
-          default:
-            // Barriers never compile into a block; defensive bail.
-            bailed = true;
-            goto out;
-        }
-        // Common straight-line commit (non-store, non-stack ops)
-        // drains the prefilled static sub-step.
-        drain.substep(op.step);
-        cyc_sum += op.cyc;
-        dt_sum += op.step.dt;
-        ++done;
-        next_pc += 4;
-    }
-out:
-    drain.commit();
-    if (done == 0) {
-        // The first thunk bailed before retiring anything: report a
-        // miss so the caller's step() handles this PC and the slice
-        // makes progress.
-        ++sbStats_.bailouts;
-        return false;
-    }
-    cursor.advance(t + dt_sum);
-    cycles += cyc_sum;
-    instrs += done;
-    pc_ = next_pc;
-    t += dt_sum;
-    b.zeroBails = 0;
-    ++sbStats_.execs;
-    sbStats_.blockInstrs += done;
-    ++sbStats_.lengthCounts[std::min<std::size_t>(done,
-                                                  superblockLenCap)];
-    if (bailed)
-        ++sbStats_.bailouts;
     return true;
 }
 
@@ -1414,7 +896,19 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
         1 + cfg.memExtraCycles + cfg.framWriteExtraCycles;
     const sim::Tick word_dt =
         static_cast<sim::Tick>(word_cyc) * cyclePeriod_;
+    const bool naive = cfg.commitDiscipline == CommitDiscipline::Naive;
+    const bool sealed = cfg.commitDiscipline == CommitDiscipline::Sealed;
+    // Magic, sequence number, pc, flags, sp, stack length, the
+    // register file, the word-padded stack image and the seal.
+    const std::uint32_t burst_words =
+        6 + isa::numRegs + runtime::ckfmt::align4(stack_bytes) / 4 +
+        (sealed ? 1 : 0);
+    std::uint32_t words_started = 0;
     bool torn = false;
+    // The tear hit the burst's last word and that word still landed
+    // with its intended value (the partial-write bit flips cancelled
+    // out): the frame is complete, so the commit completed.
+    bool torn_whole = false;
     if (nv_)
         nv_->beginBurst(base);
 
@@ -1425,6 +919,7 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
     auto commitWord = [&](mem::Addr addr, std::uint32_t value) {
         if (torn || state_ != McuState::Running)
             return false;
+        ++words_started;
         if (nvHooks_.onCommitWord)
             nvHooks_.onCommitWord();
         const sim::Tick at = cursor.now() + word_dt;
@@ -1435,8 +930,10 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
         if (state_ != McuState::Running) {
             torn = true;
             std::uint32_t v = value;
-            if (nvHooks_.onTornWord && nvHooks_.onTornWord(v))
+            if (nvHooks_.onTornWord && nvHooks_.onTornWord(v)) {
                 mem_.write32(addr, v);
+                torn_whole = words_started == burst_words && v == value;
+            }
             return false;
         }
         if (nv_)
@@ -1453,7 +950,6 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
         return w;
     };
 
-    const bool naive = cfg.commitDiscipline == CommitDiscipline::Naive;
     bool ok = commitWord(base + ckMagicOff, ckMagic);
     if (naive)
         ok = ok && commitWord(base + ckSeqOff, next_seq);
@@ -1465,18 +961,19 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
         ok = commitWord(base + ckRegsOff + r * 4, regs[r]);
     for (mem::Addr off = 0; ok && off < stack_bytes; off += 4)
         ok = commitWord(base + ckStackOff + off, stackWord(off));
-    if (ok && cfg.commitDiscipline == CommitDiscipline::Sealed) {
+    if (ok && sealed) {
         ok = commitWord(base + runtime::ckfmt::sealOff(stack_bytes),
                         frameCrcAt(base, stack_bytes, next_seq));
     }
     if (ok && !naive)
         ok = commitWord(base + ckSeqOff, next_seq);
 
+    torn = torn && !torn_whole;
     if (nv_)
         nv_->endBurst(torn);
     if (torn)
         ++tornCommits_;
-    return ok;
+    return ok || torn_whole;
 }
 
 bool
@@ -1713,11 +1210,10 @@ Mcu::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
     checkpointsTaken = r.u64();
     checkpointsRestored = r.u64();
     tornCommits_ = r.u64();
-    // The decode caches are epoch artifacts, not architectural
-    // state: drop them and let them refill (bit-identical either
-    // way). Restored memory bytes may differ arbitrarily from the
-    // pre-restore image, so superblocks must recompile too.
-    invalidateCodeCaches();
+    // The predecode cache is not architectural state: restored
+    // memory may differ arbitrarily from the pre-restore image, so
+    // drop it and let it refill (bit-identical either way).
+    icacheInvalidateAll();
     if (sliceEvent != sim::invalidEventId) {
         sim().cancel(sliceEvent);
         sliceEvent = sim::invalidEventId;

@@ -87,42 +87,9 @@ struct McuConfig
     sim::Tick bootDelay = 100 * sim::oneUs;
     /** Max instructions-slice length per event. */
     sim::Tick sliceQuantum = 100 * sim::oneUs;
-
-    /// @name Fast-path execution (default on)
-    /// Each mechanism is bit-identical to the reference path — same
-    /// instruction stream, same power sub-step sequence, same RNG
-    /// draws. The flags exist so the determinism suite can diff the
-    /// fast and reference paths instruction-for-instruction.
-    /// @{
-    /** Predecoded instruction cache indexed by PC: decode each code
-     *  word once, invalidated on writes into the cached range and on
-     *  loadProgram / brown-out. */
-    bool predecodeCache = true;
-    /** Last-hit region cache in the memory map (flat dispatch). */
-    bool flatDispatch = true;
-    /** Drain per-instruction energy through the single-sub-step
-     *  PowerSystem::drainStep entry instead of the general
-     *  advanceTo path. */
-    bool batchedDrain = true;
-    /** Amortize the event-queue peek over slice segments: re-read
-     *  sim().nextEventTime() only after an instruction that could
-     *  have scheduled an event (MMIO access, tracer). */
-    bool batchedSlices = true;
-    /** Superblock tier on top of the predecode cache: compile hot
-     *  straight-line runs (bounded by branches, barriers and the
-     *  block length cap) into threaded-code blocks, execute their
-     *  thunks back to back and drain the whole block's energy with
-     *  one batched PowerSystem::drainBlock call. Only engages when
-     *  predecodeCache, batchedDrain and batchedSlices are also on;
-     *  falls back to per-instruction stepping whenever the
-     *  brown-out pre-check cannot rule out a mid-block power loss.
-     *  Bit-identical to the reference interpreter. */
-    bool superblocks = true;
-    /** Max instructions per superblock (hard-capped at 32). */
-    unsigned superblockMaxLen = 32;
-    /** Blocks shorter than this are not worth registering. */
-    unsigned superblockMinLen = 3;
-    /// @}
+    // The execution engine (fast or reference) is not configured
+    // here: the core runs whatever energy::PowerSystemConfig::engine
+    // selects for its power system.
 
     /** Hardware checkpoint unit enable (restore-on-boot). */
     bool checkpointingEnabled = false;
@@ -256,11 +223,9 @@ class Mcu : public sim::Component
     /**
      * Attach the NV region hosting the checkpoint slots (nullptr
      * detaches). The commit unit drives its burst latch / commit-slot
-     * selector, and an *active* region (energy/wear modelling on)
-     * disables the superblock tier so batched execution never skips
-     * the per-write energy accounting.
+     * selector.
      */
-    void setNvRegion(mem::NvRegion *region);
+    void setNvRegion(mem::NvRegion *region) { nv_ = region; }
     mem::NvRegion *nvRegion() const { return nv_; }
 
     /**
@@ -345,41 +310,6 @@ class Mcu : public sim::Component
     unsigned checkpointCostCyclesFor(std::uint32_t stack_bytes) const;
     /// @}
 
-    /** Hard cap on McuConfig::superblockMaxLen (and the span of the
-     *  block-length statistics). */
-    static constexpr unsigned superblockLenCap = 32;
-
-    /** Superblock engine counters (not architectural state; they are
-     *  neither snapshotted nor part of the determinism digest). */
-    struct SuperblockStats
-    {
-        /** Blocks compiled, first builds and rebuilds together. */
-        std::uint64_t blocksBuilt = 0;
-        /** Rebuilds forced by a code-epoch bump (self-modifying
-         *  store, brown-out poison, snapshot restore). */
-        std::uint64_t rebuilds = 0;
-        /** Block dispatches that retired at least one instruction. */
-        std::uint64_t execs = 0;
-        /** Instructions retired inside blocks (the hit-rate
-         *  numerator; instrCount() is the denominator). */
-        std::uint64_t blockInstrs = 0;
-        /** Dispatches that exited early (MMIO operand, faulting
-         *  access, or a store over live code). */
-        std::uint64_t bailouts = 0;
-        /** Dispatches rejected by the segment-fit or brown-out
-         *  admissibility gates (fell back to step()). */
-        std::uint64_t fallbacks = 0;
-        /** Dispatch counts by retired block length. */
-        std::array<std::uint64_t, superblockLenCap + 1> lengthCounts{};
-    };
-
-    const SuperblockStats &superblockStats() const { return sbStats_; }
-
-    /** Monotonic code-cache generation; bumped by the write watch
-     *  when a store lands on live predecoded code and by
-     *  invalidateCodeCaches(). Exposed for tests. */
-    std::uint64_t codeEpoch() const { return codeEpoch_; }
-
   private:
     /** Predecoded-instruction classes: how much of the cycle cost
      *  can be precomputed at decode time. */
@@ -401,55 +331,6 @@ class Mcu : public sim::Component
         InstrClass cls = InstrClass::Static;
     };
 
-    /** One pre-resolved operation thunk of a superblock. */
-    struct SbOp
-    {
-        isa::Instr instr;
-        /** Static cycle cost (the non-FRAM cost for stores). */
-        std::uint32_t cyc = 0;
-        /** Store cost when the EA lands in FRAM; == cyc otherwise. */
-        std::uint32_t framCyc = 0;
-        /** Drain sub-step at `cyc` / at `framCyc`. */
-        energy::PowerSystem::DrainStep step{};
-        energy::PowerSystem::DrainStep framStep{};
-    };
-
-    /** A compiled straight-line region: thunks plus its precomputed
-     *  worst-case drain schedule. Purely an execution-cache artifact;
-     *  never snapshotted. */
-    struct Superblock
-    {
-        mem::Addr base = 0;
-        /** codeEpoch_ at (re)build time; stale => rebuild. */
-        std::uint64_t epoch = 0;
-        /** Upper bound on the block's total drain duration (every
-         *  store charged its FRAM cost). */
-        sim::Tick worstDt = 0;
-        double worstSeconds = 0.0;
-        /** Cached admission threshold for `worstSeconds` and the
-         *  draw-epoch it was computed under (0 = never computed). */
-        double admitVolts = 0.0;
-        std::uint64_t drawStamp = 0;
-        /** Consecutive dispatches that retired zero instructions;
-         *  reset by any retiring dispatch. At sbZeroBailDemoteLimit
-         *  the entry point is demoted to unbuildable (see
-         *  tryRunBlock). */
-        std::uint32_t zeroBails = 0;
-        std::vector<SbOp> ops;
-    };
-
-    /** blockAt_ sentinels. */
-    static constexpr std::int32_t sbNone = -1;
-    static constexpr std::int32_t sbUnbuildable = -2;
-    /** Consecutive zero-retire dispatches before an entry point is
-     *  demoted to unbuildable (a leader whose effective address
-     *  always resolves to MMIO makes every dispatch pure overhead).
-     *  invalidateCodeCaches resets the verdict with the rest. */
-    static constexpr std::uint32_t sbZeroBailDemoteLimit = 16;
-    /** Total block budget (leaders are at most one per code word;
-     *  this just bounds pathological self-modifying workloads). */
-    static constexpr std::size_t sbMaxBlocks = 4096;
-
     void onPowerChange(bool on);
     void boot();
     void runSlice();
@@ -460,40 +341,13 @@ class Mcu : public sim::Component
     /** Lazily size the predecode cache from the memory map and
      *  install the write watch that keeps it coherent. */
     void icacheEnsure();
-    /** Drop every predecoded instruction (loadProgram, brown-out). */
+    /** Drop every predecoded instruction (loadProgram, brown-out,
+     *  snapshot restore). */
     void icacheInvalidateAll();
-    /** The one invalidation entry point shared by both decode tiers:
-     *  drops every predecoded word and bumps the code epoch, which
-     *  lazily invalidates every superblock. */
-    void invalidateCodeCaches();
     /** Decode-time costing shared by step()'s fill path and the
-     *  block builder. */
+     *  static-analysis cost quotes. */
     void classifyCost(isa::Opcode op, unsigned &cyc,
                       InstrClass &cls) const;
-    /** Superblock dispatch: build/validate/admit the block at pc_
-     *  and run it. @return true when >= 1 instruction retired. */
-    bool tryRunBlock(sim::Tick &t, sim::Tick seg_end);
-    std::int32_t buildBlockAt(mem::Addr pc, std::size_t idx);
-    bool buildInto(Superblock &b, mem::Addr pc);
-    bool runBlock(sim::Tick &t, Superblock &b, std::size_t n_max);
-    bool
-    touchesMmio(mem::Addr ea) const
-    {
-        for (const auto &[mbase, mspan] : mmioRanges_) {
-            if (ea - mbase < mspan)
-                return true;
-        }
-        return false;
-    }
-    bool
-    eaInFram(mem::Addr ea) const
-    {
-        for (const auto &[fbase, fspan] : framRanges_) {
-            if (ea - fbase < fspan)
-                return true;
-        }
-        return false;
-    }
     void execute(const isa::Instr &instr, sim::Tick t);
     /** Feed the auditor's taint machine; runs on the pre-execute
      *  register file so effective addresses match the instruction
@@ -531,6 +385,8 @@ class Mcu : public sim::Component
     mem::MemoryMap &mem_;
     energy::PowerSystem &power;
     McuConfig cfg;
+    /** power.config().engine == Engine::Fast, resolved once. */
+    bool fast_;
     sim::Tick cyclePeriod_;
 
     energy::PowerSystem::LoadHandle coreLoad;
@@ -573,29 +429,8 @@ class Mcu : public sim::Component
     /** (base, span) of each FRAM region, snapshotted with the icache
      *  so store costing can skip the memory-map lookup. */
     std::vector<std::pair<mem::Addr, mem::Addr>> framRanges_;
-    /** (base, span) of each MMIO region: block thunks bail *before*
-     *  any access that would land here. */
-    std::vector<std::pair<mem::Addr, mem::Addr>> mmioRanges_;
     /** Cached power integration sub-step ceiling. */
     sim::Tick powerMaxStep_ = 0;
-
-    /** Superblock cache: per-leader-word index into blocks_ (or a
-     *  sentinel), parallel to icache_. */
-    std::vector<std::int32_t> blockAt_;
-    std::vector<Superblock> blocks_;
-    /** Code-cache generation. The memory map's write watch holds a
-     *  pointer to this and bumps it whenever a routed store clears a
-     *  live valid byte — the same event that invalidates a
-     *  predecoded word, so both tiers ride one mechanism. Starts at
-     *  1 so a default-constructed Superblock (epoch 0) is stale. */
-    std::uint64_t codeEpoch_ = 1;
-    /** All non-reference fast-path flags required by the block tier,
-     *  resolved once at construction. */
-    bool sbEnabled_ = false;
-    /** Worst-case duration of a full-length block, for the gate that
-     *  stops block *building* near the brown-out threshold. */
-    double sbBuildGateSeconds_ = 0.0;
-    SuperblockStats sbStats_;
 
     ResetHook resetHook;
     Tracer tracer;

@@ -217,15 +217,13 @@ MemoryMap::find(Addr addr) const
 }
 
 void
-MemoryMap::setWriteWatch(Addr lo, Addr hi, std::uint8_t *valid,
-                         std::uint64_t *epoch)
+MemoryMap::setWriteWatch(Addr lo, Addr hi, std::uint8_t *valid)
 {
     if (hi < lo)
         sim::fatal("MemoryMap::setWriteWatch: inverted range");
     watchLo = lo;
     watchSpan = valid ? hi - lo : 0;
     watchValid = valid;
-    watchEpoch = valid ? epoch : nullptr;
 }
 
 void
@@ -233,7 +231,6 @@ MemoryMap::clearWriteWatch()
 {
     watchSpan = 0;
     watchValid = nullptr;
-    watchEpoch = nullptr;
 }
 
 AccessResult

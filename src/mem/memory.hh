@@ -242,16 +242,8 @@ class MemoryMap
      * interpreter's store path. Writes that bypass the map
      * (Ram::load, Ram::powerLoss, direct backing-store access) are
      * NOT observed — callers of those invalidate explicitly.
-     *
-     * When `epoch` is non-null it is incremented every time a write
-     * lands on a word whose valid byte was still set — i.e. exactly
-     * when live predecoded state got invalidated. Coarser consumers
-     * (the MCU's superblock cache) key off the counter instead of
-     * per-word bytes; data stores into never-decoded words cost
-     * nothing extra because their valid byte is already clear.
      */
-    void setWriteWatch(Addr lo, Addr hi, std::uint8_t *valid,
-                       std::uint64_t *epoch = nullptr);
+    void setWriteWatch(Addr lo, Addr hi, std::uint8_t *valid);
     void clearWriteWatch();
 
     /**
@@ -287,14 +279,8 @@ class MemoryMap
     {
         // Single unsigned compare: watchSpan is 0 when no watch is
         // installed, so the branch is never taken then.
-        if (addr - watchLo < watchSpan) {
-            std::uint8_t &valid = watchValid[(addr - watchLo) >> 2];
-            if (valid) {
-                valid = 0;
-                if (watchEpoch)
-                    ++*watchEpoch;
-            }
-        }
+        if (addr - watchLo < watchSpan)
+            watchValid[(addr - watchLo) >> 2] = 0;
         if (writeHookFn)
             writeHookFn(writeHookCtx, addr, width);
     }
@@ -307,7 +293,6 @@ class MemoryMap
     Addr watchLo = 0;
     Addr watchSpan = 0;
     std::uint8_t *watchValid = nullptr;
-    std::uint64_t *watchEpoch = nullptr;
     WriteHookFn writeHookFn = nullptr;
     void *writeHookCtx = nullptr;
 };

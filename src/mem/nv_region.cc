@@ -64,9 +64,6 @@ NvRegion::NvRegion(std::string region_name, Addr base_addr,
 {
     if (active_) {
         // Force routed accesses through the virtual overrides below.
-        // This also (deliberately) disqualifies the region from the
-        // superblock tier's direct-store requirement, so batched
-        // execution never skips the per-write energy drain.
         setDirectStore(nullptr);
         if (wearTracked_)
             wear_.assign((size_bytes + 3) / 4, 0);

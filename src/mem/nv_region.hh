@@ -26,10 +26,6 @@
  * none of the overrides below ever run. An *active* config unpublishes
  * the direct store so every routed write dispatches virtually through
  * the wear/energy model (reads stay side-effect-free either way).
- * Unpublishing also keeps the superblock tier honest for free: code
- * lives in FRAM and superblocks require a direct store on the code
- * region, so an active NV backend automatically falls back to the
- * per-instruction path whose drain accounting the energy model hooks.
  *
  * The region also carries the commit-burst latch the MCU's
  * interruptible checkpoint commit drives (DESIGN.md §11): which slot

@@ -175,10 +175,13 @@ FaultInjector::onTornWord(std::uint32_t &word)
 {
     if (!plan_.enabled || !rng.chance(plan_.nvTornCorruptProb))
         return false;
-    ++stats_.nvTornWordsCorrupted;
+    const std::uint32_t intended = word;
     const int flips = static_cast<int>(rng.uniformInt(1, 4));
     for (int i = 0; i < flips; ++i)
         word ^= 1u << rng.uniformInt(0, 31);
+    // An even number of flips can hit the same bit twice and cancel.
+    if (word != intended)
+        ++stats_.nvTornWordsCorrupted;
     return true;
 }
 

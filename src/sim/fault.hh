@@ -194,6 +194,8 @@ class FaultInjector : public Component
         std::uint64_t brownOutsForced = 0;
         std::uint64_t nvCommitWords = 0;
         std::uint64_t nvTears = 0;
+        /** Torn words written with a value other than the intended
+         *  one. */
         std::uint64_t nvTornWordsCorrupted = 0;
     };
 
@@ -245,8 +247,10 @@ class FaultInjector : public Component
     /**
      * Disposition of the in-flight word of a torn burst: with
      * `plan.nvTornCorruptProb`, flips 1..4 random bits in `word` and
-     * returns true (the caller writes the corrupted word); otherwise
-     * returns false (the word is simply never written).
+     * returns true (the caller writes the word); otherwise returns
+     * false (the word is simply never written). Flips of the same bit
+     * can cancel, so a written word may still carry its intended
+     * value; `Stats::nvTornWordsCorrupted` counts only changed ones.
      */
     bool onTornWord(std::uint32_t &word);
 

@@ -111,10 +111,8 @@ Histogram::Histogram(double lo_bound, double hi_bound, std::size_t bin_count)
 }
 
 void
-Histogram::add(double x, std::size_t weight)
+Histogram::add(double x)
 {
-    if (weight == 0)
-        return;
     double frac = (x - lo) / (hi - lo);
     auto idx = static_cast<std::int64_t>(
         frac * static_cast<double>(counts.size()));
@@ -122,15 +120,8 @@ Histogram::add(double x, std::size_t weight)
         idx = 0;
     if (idx >= static_cast<std::int64_t>(counts.size()))
         idx = static_cast<std::int64_t>(counts.size()) - 1;
-    counts[static_cast<std::size_t>(idx)] += weight;
-    n += weight;
-    sumX += x * static_cast<double>(weight);
-}
-
-double
-Histogram::mean() const
-{
-    return n ? sumX / static_cast<double>(n) : 0.0;
+    ++counts[static_cast<std::size_t>(idx)];
+    ++n;
 }
 
 double

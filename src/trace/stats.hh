@@ -109,12 +109,7 @@ class Histogram
     Histogram(double lo, double hi, std::size_t bins);
 
     /** Add one sample. */
-    void add(double x) { add(x, 1); }
-
-    /** Add `weight` occurrences of the same value in O(1) — the
-     *  natural ingest for pre-binned counters such as the MCU's
-     *  superblock block-length counts. */
-    void add(double x, std::size_t weight);
+    void add(double x);
 
     /** Number of bins. */
     std::size_t bins() const { return counts.size(); }
@@ -128,17 +123,11 @@ class Histogram
     /** Total samples added. */
     std::size_t total() const { return n; }
 
-    /** Exact mean of the added values (not bin centers; 0 when
-     *  empty). */
-    double mean() const;
-
   private:
     double lo;
     double hi;
     std::vector<std::size_t> counts;
     std::size_t n = 0;
-    /** Exact running sum of samples (x * weight). */
-    double sumX = 0.0;
 };
 
 } // namespace edb::trace

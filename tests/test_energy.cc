@@ -342,14 +342,14 @@ TEST(PowerSystem, DrainStepMatchesAdvanceToBitExactly)
     }
 }
 
-/** The devirtualized constant-Thevenin source inline (fastIntegration)
- *  must reproduce the virtual harvester path bit-for-bit, noise
- *  included. */
+/** The fast engine's devirtualized constant-Thevenin source inline
+ *  must reproduce the reference engine's virtual harvester path
+ *  bit-for-bit, noise included. */
 TEST(PowerSystem, FastIntegrationMatchesVirtualHarvesterPath)
 {
-    PowerSystemConfig fastCfg; // fastIntegration default-on
+    PowerSystemConfig fastCfg; // Engine::Fast by default
     PowerSystemConfig refCfg;
-    refCfg.fastIntegration = false;
+    refCfg.engine = Engine::Reference;
     sim::Simulator simA(7);
     sim::Simulator simB(7);
     TheveninHarvester hA(3.0, 500.0);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Fast-path equivalence suite: the predecoded instruction cache, flat
- * memory dispatch, amortized analog integration and batched slices
- * must be *bit-identical* to the reference path. These tests run the
- * same workloads with every fast-path flag on and off and diff the
+ * Fast-engine equivalence suite: the predecoded instruction cache,
+ * flat memory dispatch, amortized analog integration and batched
+ * slices must be *bit-identical* to the reference engine. These tests
+ * run the same workloads under both engines and diff the
  * architectural outcome, and stress the one piece of machinery that
  * keeps the predecode cache honest: invalidation on stores into the
  * code range.
@@ -41,12 +41,7 @@ target::WispConfig
 referencePathConfig()
 {
     target::WispConfig config;
-    config.mcu.predecodeCache = false;
-    config.mcu.flatDispatch = false;
-    config.mcu.batchedDrain = false;
-    config.mcu.batchedSlices = false;
-    config.mcu.superblocks = false;
-    config.power.fastIntegration = false;
+    config.power.engine = energy::Engine::Reference;
     return config;
 }
 
@@ -237,79 +232,20 @@ framWrites(target::Wisp &wisp)
     return 0;
 }
 
-/** A hot straight-line loop must actually retire instructions inside
- *  superblocks under the default config — otherwise every other test
- *  in this file is vacuously comparing interpreter against itself. */
-TEST(Superblock, HotLoopRetiresInsideBlocks)
-{
-    Rig rig;
-    auto &mcu = rig.run(R"(
-main:
-    li   r1, 0
-    li   r2, 2000
-loop:
-    addi r1, r1, 1
-    add  r3, r3, r1
-    cmp  r1, r2
-    bne  loop
-    halt
-)");
-    ASSERT_EQ(mcu.state(), mcu::McuState::Halted);
-    EXPECT_EQ(mcu.reg(1), 2000u);
-    const auto &sb = mcu.superblockStats();
-    EXPECT_GT(sb.blocksBuilt, 0u);
-    EXPECT_GT(sb.execs, 100u);
-    // The loop body dominates: most retirement happens in blocks.
-    EXPECT_GT(sb.blockInstrs, mcu.instrCount() / 2);
-}
-
 /**
- * Self-modifying code landing *inside a live superblock*: the loop
- * body is long enough to compile, and the patched slot sits in the
- * block being executed. The store must bump the code epoch (bailing
- * out of the running block after the committed store), force a
- * rebuild on the next dispatch, and the re-decoded instruction must
- * take effect — matching the reference interpreter bit for bit.
+ * Brown-outs on harvested RF power with checkpointing off: the fast
+ * engine's segment-amortized slices must place every power loss at
+ * exactly the same instruction as the reference engine — same reboot
+ * count, same PC at the horizon, same FRAM wear, same final
+ * capacitor voltage.
  */
-TEST(Superblock, PatchInsideLiveBlockForcesRebuild)
-{
-    Rig fast;
-    auto &mcuFast = fast.run(selfModifyingBody);
-    ASSERT_EQ(mcuFast.state(), mcu::McuState::Halted);
-    EXPECT_EQ(mcuFast.reg(4), 42u);
-    // The store into the block advanced the epoch and the next
-    // dispatch rebuilt rather than reusing the stale block.
-    EXPECT_GT(mcuFast.codeEpoch(), 1u);
-    const auto &sb = mcuFast.superblockStats();
-    EXPECT_GT(sb.execs, 0u);
-    EXPECT_GT(sb.rebuilds + sb.blocksBuilt, 1u);
-
-    Rig ref(referencePathConfig());
-    auto &mcuRef = ref.run(selfModifyingBody);
-    ASSERT_EQ(mcuRef.state(), mcu::McuState::Halted);
-    EXPECT_EQ(mcuFast.reg(4), mcuRef.reg(4));
-    EXPECT_EQ(mcuFast.instrCount(), mcuRef.instrCount());
-    EXPECT_EQ(mcuFast.cycleCount(), mcuRef.cycleCount());
-}
-
-/**
- * Brown-out landing mid-block: on harvested RF power with
- * checkpointing off, the superblock engine's batched drain must
- * place every power loss at exactly the same instruction as the
- * reference interpreter — same reboot count, same resume PC at the
- * horizon, same FRAM wear, same final capacitor voltage. The
- * admissibility pre-check makes blocks that *could* die mid-block
- * fall back to per-instruction stepping, so death always lands with
- * reference timing.
- */
-TEST(Superblock, BrownOutMidBlockMatchesReference)
+TEST(FastPath, BrownOutMatchesReference)
 {
     struct Probe
     {
         std::uint64_t instrs, cycles, reboots, framWear;
         std::uint32_t pc;
         double volts;
-        mcu::Mcu::SuperblockStats sb;
     };
     auto probe = [](target::WispConfig config) {
         sim::Simulator simulator(29);
@@ -325,17 +261,14 @@ TEST(Superblock, BrownOutMidBlockMatchesReference)
         p.framWear = framWrites(wisp);
         p.pc = wisp.mcu().pc();
         p.volts = wisp.voltage();
-        p.sb = wisp.mcu().superblockStats();
         return p;
     };
 
     Probe fast = probe(target::WispConfig{});
     Probe ref = probe(referencePathConfig());
 
-    // The rig must really brown out while blocks are running.
+    // The rig must really brown out.
     EXPECT_GT(fast.reboots, 0u);
-    EXPECT_GT(fast.sb.execs, 0u);
-    EXPECT_EQ(ref.sb.execs, 0u);
 
     EXPECT_EQ(fast.instrs, ref.instrs);
     EXPECT_EQ(fast.cycles, ref.cycles);
@@ -346,12 +279,10 @@ TEST(Superblock, BrownOutMidBlockMatchesReference)
 }
 
 /**
- * CHKPT is a block barrier: the straight-line run leading up to it
- * compiles, the checkpoint itself executes in the interpreter, and
- * the committed checkpoint (count, FRAM wear from the slot writes,
- * cycle cost) is identical to the reference path.
+ * A committed checkpoint after a hot loop (count, FRAM wear from the
+ * slot writes, cycle cost) is identical under both engines.
  */
-TEST(Superblock, CheckpointTerminatesBlockWithIdenticalCost)
+TEST(FastPath, CheckpointCostMatchesReference)
 {
     constexpr const char *body = R"(
 main:
@@ -383,7 +314,6 @@ loop:
     ASSERT_EQ(mcuFast.state(), mcu::McuState::Halted);
     ASSERT_EQ(mcuRef.state(), mcu::McuState::Halted);
     EXPECT_EQ(mcuFast.checkpointCount(), 1u);
-    EXPECT_GT(mcuFast.superblockStats().execs, 0u);
     EXPECT_EQ(mcuFast.reg(1), mcuRef.reg(1));
     EXPECT_EQ(mcuFast.reg(3), mcuRef.reg(3));
     EXPECT_EQ(mcuFast.checkpointCount(), mcuRef.checkpointCount());

@@ -60,9 +60,9 @@ TEST(NvRegion, PassiveDefaultKeepsDirectStore)
 {
     mem::NvRegion nv = makeRegion({});
     EXPECT_FALSE(nv.active());
-    // The published direct store is what lets the fast path (and the
-    // superblock tier) devirtualize — a passive NvRegion must be
-    // indistinguishable from the plain Ram it replaced.
+    // The published direct store is what lets the fast engine
+    // devirtualize — a passive NvRegion must be indistinguishable from
+    // the plain Ram it replaced.
     EXPECT_NE(nv.directStore(), nullptr);
     nv.write32(base + 8, 0xDEADBEEFu);
     EXPECT_EQ(nv.read32(base + 8), 0xDEADBEEFu);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <utility>
 
 #include "apps/activity.hh"
 #include "apps/linked_list.hh"
@@ -163,8 +164,13 @@ TEST(SnapshotContainer, SectionMismatchFailsSticky)
 // Resume equivalence on a full intermittent run.
 // ---------------------------------------------------------------
 
+/** Save under `cfg` at 500 ms, resume in a fresh world running
+ *  `resume_engine`, and require the uninterrupted run's digest at
+ *  1.5 s. Resuming under the other engine pins that the engine holds
+ *  no architectural state. */
 void
-resumeEquivalence(const target::WispConfig &cfg, std::uint64_t seed)
+resumeEquivalence(const target::WispConfig &cfg, std::uint64_t seed,
+                  energy::Engine resume_engine)
 {
     constexpr sim::Tick snapAt = 500 * sim::oneMs;
     constexpr sim::Tick endAt = 1500 * sim::oneMs;
@@ -184,9 +190,11 @@ resumeEquivalence(const target::WispConfig &cfg, std::uint64_t seed)
     Digest ref = digestOf(sim1, wisp1);
 
     // A fresh world resumes from the snapshot.
+    target::WispConfig resume_cfg = cfg;
+    resume_cfg.power.engine = resume_engine;
     sim::Simulator sim2(seed);
     energy::RfHarvester rf2(30.0, 1.0);
-    target::Wisp wisp2(sim2, "wisp", &rf2, nullptr, cfg);
+    target::Wisp wisp2(sim2, "wisp", &rf2, nullptr, resume_cfg);
     wisp2.flash(program);
     ASSERT_TRUE(restoreInto(image, sim2, wisp2));
     EXPECT_EQ(sim2.now(), snapAt);
@@ -196,24 +204,27 @@ resumeEquivalence(const target::WispConfig &cfg, std::uint64_t seed)
 
 TEST(SnapshotResume, BitIdenticalOnFastPath)
 {
-    resumeEquivalence(target::WispConfig{}, 11);
+    resumeEquivalence(target::WispConfig{}, 11, energy::Engine::Fast);
 }
 
-TEST(SnapshotResume, BitIdenticalOnReferencePath)
+TEST(SnapshotResume, BitIdenticalAcrossEngines)
 {
-    target::WispConfig cfg;
-    cfg.mcu.predecodeCache = false;
-    cfg.mcu.flatDispatch = false;
-    cfg.mcu.batchedDrain = false;
-    cfg.mcu.batchedSlices = false;
-    resumeEquivalence(cfg, 11);
+    for (auto [save, resume] :
+         {std::pair{energy::Engine::Fast, energy::Engine::Reference},
+          std::pair{energy::Engine::Reference, energy::Engine::Fast}}) {
+        SCOPED_TRACE(save == energy::Engine::Fast ? "fast -> reference"
+                                                  : "reference -> fast");
+        target::WispConfig cfg;
+        cfg.power.engine = save;
+        resumeEquivalence(cfg, 11, resume);
+    }
 }
 
 TEST(SnapshotResume, BitIdenticalWithCheckpointing)
 {
     target::WispConfig cfg;
     cfg.mcu.checkpointingEnabled = true;
-    resumeEquivalence(cfg, 3);
+    resumeEquivalence(cfg, 3, energy::Engine::Fast);
 }
 
 TEST(SnapshotResume, FileRoundTrip)
