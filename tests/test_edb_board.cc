@@ -379,10 +379,20 @@ TEST(ProtocolEngine, InterByteTimeoutResyncs)
 
 struct FormatCase
 {
+    const char *name;
     const char *fmt;
     std::vector<std::uint32_t> args;
     const char *expected;
 };
+
+// gtest_discover_tests names each case by its printed value; without
+// this the value is the struct's raw bytes, pointers included, and the
+// test names change from one build to the next.
+void
+PrintTo(const FormatCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class PrintfFormat : public ::testing::TestWithParam<FormatCase>
 {};
@@ -396,16 +406,16 @@ TEST_P(PrintfFormat, Renders)
 INSTANTIATE_TEST_SUITE_P(
     Cases, PrintfFormat,
     ::testing::Values(
-        FormatCase{"plain", {}, "plain"},
-        FormatCase{"%d", {5}, "5"},
-        FormatCase{"%d", {0xFFFFFFFF}, "-1"},
-        FormatCase{"%u", {0xFFFFFFFF}, "4294967295"},
-        FormatCase{"%x", {255}, "ff"},
-        FormatCase{"%c%c", {'h', 'i'}, "hi"},
-        FormatCase{"100%%", {}, "100%"},
-        FormatCase{"%q", {7}, "%q"},        // unknown passes through
-        FormatCase{"%d %d", {1}, "1 0"},    // missing arg reads 0
-        FormatCase{"trail%", {}, "trail%"} // lone % at end
+        FormatCase{"Plain", "plain", {}, "plain"},
+        FormatCase{"Decimal", "%d", {5}, "5"},
+        FormatCase{"NegativeDecimal", "%d", {0xFFFFFFFF}, "-1"},
+        FormatCase{"Unsigned", "%u", {0xFFFFFFFF}, "4294967295"},
+        FormatCase{"Hex", "%x", {255}, "ff"},
+        FormatCase{"TwoChars", "%c%c", {'h', 'i'}, "hi"},
+        FormatCase{"EscapedPercent", "100%%", {}, "100%"},
+        FormatCase{"UnknownPassesThrough", "%q", {7}, "%q"},
+        FormatCase{"MissingArgReadsZero", "%d %d", {1}, "1 0"},
+        FormatCase{"TrailingPercent", "trail%", {}, "trail%"} // lone %
         ));
 
 struct BoardRig

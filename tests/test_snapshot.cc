@@ -207,6 +207,13 @@ TEST(SnapshotResume, BitIdenticalOnFastPath)
     resumeEquivalence(target::WispConfig{}, 11, energy::Engine::Fast);
 }
 
+TEST(SnapshotResume, BitIdenticalOnReferencePath)
+{
+    target::WispConfig cfg;
+    cfg.power.engine = energy::Engine::Reference;
+    resumeEquivalence(cfg, 11, energy::Engine::Reference);
+}
+
 TEST(SnapshotResume, BitIdenticalAcrossEngines)
 {
     for (auto [save, resume] :
