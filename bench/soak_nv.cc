@@ -64,15 +64,6 @@ struct CellStats
     std::uint64_t wornWords = 0;
 };
 
-mem::NvAuditConfig
-auditConfigFor(const target::Wisp &wisp)
-{
-    mem::NvAuditConfig cfg;
-    cfg.checkpointBase = wisp.config().mcu.checkpointBase;
-    cfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-    return cfg;
-}
-
 /** A generated checkpointing case: the fuzzer's constrained
  *  generator with checkpoint elements forced in so commit bursts
  *  actually happen. */
@@ -132,10 +123,8 @@ runEpisode(mcu::CommitDiscipline discipline,
     };
     wisp.mcu().setNvCommitHooks(hooks);
 
-    mem::NvAuditor aud(auditConfigFor(wisp), wisp.framRegion());
-    wisp.mcu().setAuditor(&aud);
-    wisp.memoryMap().setWriteHook(&mem::NvAuditor::rawWriteHook,
-                                  &aud);
+    mem::NvAuditor aud(wisp.auditConfig(), wisp.framRegion());
+    wisp.attachAuditor(&aud);
 
     sim::ScheduleLog log;
     for (const fuzz::BrownOut &b : c.schedule)

@@ -64,15 +64,6 @@ sameEvent(const Event &a, const Event &b)
            a.reboots == b.reboots;
 }
 
-mem::NvAuditConfig
-auditConfigFor(const target::Wisp &wisp)
-{
-    mem::NvAuditConfig cfg;
-    cfg.checkpointBase = wisp.config().mcu.checkpointBase;
-    cfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-    return cfg;
-}
-
 /** One episode's world: target + auditor + schedule player. */
 struct World
 {
@@ -85,16 +76,13 @@ struct World
     explicit World(std::uint64_t seed, bool with_auditor,
                    const target::WispConfig &config)
         : sim(seed), wisp(sim, "wisp", &rf, nullptr, config),
-          aud(auditConfigFor(wisp), wisp.framRegion()), player(sim)
+          aud(wisp.auditConfig(), wisp.framRegion()), player(sim)
     {
         // The auditor object always exists (it is part of the
         // snapshot layout) but is only wired into the core when the
         // episode actually audits.
-        if (with_auditor) {
-            wisp.mcu().setAuditor(&aud);
-            wisp.memoryMap().setWriteHook(
-                &mem::NvAuditor::rawWriteHook, &aud);
-        }
+        if (with_auditor)
+            wisp.attachAuditor(&aud);
     }
 
     void

@@ -5,7 +5,6 @@
 
 #include "runtime/protocol_defs.hh"
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace edb::edbdbg {
 
@@ -173,8 +172,8 @@ EdbBoard::EdbBoard(sim::Simulator &simulator,
     };
 
     // Continuous energy sampling (passive mode backbone).
-    sampleDue = now() + cfg.energySamplePeriod;
-    sampleEvent = sim().schedule(sampleDue, [this] { sampleEnergy(); });
+    sim().schedule(now() + cfg.energySamplePeriod,
+                   [this] { sampleEnergy(); });
 }
 
 void
@@ -193,15 +192,8 @@ void
 EdbBoard::attachAuditor(mem::NvAuditor *auditor)
 {
     audit_ = auditor;
-    wisp.mcu().setAuditor(auditor);
-    if (auditor) {
-        wisp.memoryMap().setWriteHook(&mem::NvAuditor::rawWriteHook,
-                                      auditor);
-        auditSeen = auditor->violationCount();
-    } else {
-        wisp.memoryMap().clearWriteHook();
-        auditSeen = 0;
-    }
+    wisp.attachAuditor(auditor);
+    auditSeen = auditor ? auditor->violationCount() : 0;
 }
 
 bool
@@ -223,7 +215,6 @@ EdbBoard::setStream(const std::string &stream_name, bool on)
 void
 EdbBoard::sampleEnergy()
 {
-    sampleEvent = sim::invalidEventId;
     double vcap = wisp.power().voltage();
     double reading = adc_.sampleVolts(vcap);
     lastVcapVolts = reading;
@@ -263,8 +254,8 @@ EdbBoard::sampleEnergy()
         pendingIrqReason = SessionReason::ConsistencyViolation;
         wisp.mcu().raiseDebugIrq();
     }
-    sampleDue = now() + cfg.energySamplePeriod;
-    sampleEvent = sim().schedule(sampleDue, [this] { sampleEnergy(); });
+    sim().schedule(now() + cfg.energySamplePeriod,
+                   [this] { sampleEnergy(); });
 }
 
 void
@@ -335,9 +326,8 @@ EdbBoard::onReqChange(bool level, sim::Tick when)
         if (mode != Mode::Passive)
             return;
         // Firmware edge-interrupt latency before active-mode entry.
-        reqHandlerDue = when + cfg.reqLatency;
-        reqHandlerEvent =
-            sim().schedule(reqHandlerDue, [this] { enterActive(); });
+        reqHandlerEvent = sim().schedule(when + cfg.reqLatency,
+                                         [this] { enterActive(); });
         return;
     }
     // Falling edge: resume completed, or the target died first.
@@ -383,8 +373,7 @@ EdbBoard::enterActive()
     ackRetries = 0;
     framesOkAtLastCheck = protocol.stats().framesOk;
     cancelWatchdog();
-    watchdogDue = now() + cfg.linkProbeTimeout;
-    watchdogEvent = sim().schedule(watchdogDue,
+    watchdogEvent = sim().schedule(now() + cfg.linkProbeTimeout,
                                    [this] { episodeWatchdog(); });
     sendFrame({proto::ackActive});
 }
@@ -397,18 +386,7 @@ EdbBoard::episodeWatchdog()
       case Mode::Passive:
         return; // Episode already closed; stay disarmed.
       case Mode::InSession:
-        // Session commands carry their own timeouts and retries. The
-        // exception is a restored mid-session snapshot: the host-side
-        // DebugSession object holds live references and cannot
-        // travel, so with no one left to drive commands the episode
-        // is abandoned rather than parked forever.
-        if (!activeSession) {
-            lastAbortReason_ = "session-lost";
-            ++linkStats_.abortedEpisodes;
-            traceBuf.push(now(), trace::Kind::Generic, savedVolts,
-                          0.0, 0, "abort-session-lost");
-            beginRestore(false);
-        }
+        // Session commands carry their own timeouts and retries.
         break;
       case Mode::AwaitFrame:
       case Mode::GuardActive: {
@@ -454,8 +432,7 @@ EdbBoard::episodeWatchdog()
         break;
     }
     if (mode != Mode::Passive) {
-        watchdogDue = now() + cfg.linkProbeTimeout;
-        watchdogEvent = sim().schedule(watchdogDue,
+        watchdogEvent = sim().schedule(now() + cfg.linkProbeTimeout,
                                        [this] { episodeWatchdog(); });
     }
 }
@@ -501,17 +478,15 @@ EdbBoard::pumpTxQueue()
     if (txBusy || txQueue.empty())
         return;
     txBusy = true;
-    txInFlight = txQueue.front();
+    const std::uint8_t byte = txQueue.front();
     txQueue.pop_front();
-    txDue = now() + wisp.debugPort().uart().byteTime();
-    txEvent = sim().schedule(txDue, [this] { deliverTxByte(); });
+    sim().schedule(now() + wisp.debugPort().uart().byteTime(),
+                   [this, byte] { deliverTxByte(byte); });
 }
 
 void
-EdbBoard::deliverTxByte()
+EdbBoard::deliverTxByte(std::uint8_t byte)
 {
-    txEvent = sim::invalidEventId;
-    std::uint8_t byte = txInFlight;
     // The wire-fault model applies at delivery: this direction
     // feeds the target's deframer, which hunts past damage.
     if (injector) {
@@ -530,20 +505,12 @@ EdbBoard::beginRestore(bool ack_after)
 {
     tether.setEnabled(false);
     mode = Mode::Restoring;
-    restoreAckAfter = ack_after;
     if (!wisp.power().poweredOn()) {
         // The target died before/inside the episode; nothing to
         // restore onto.
         closeEpisode();
         return;
     }
-    armRestoreRamp();
-}
-
-void
-EdbBoard::armRestoreRamp()
-{
-    bool ack_after = restoreAckAfter;
     charger.restoreTo(savedVolts, [this, ack_after](RampResult result) {
         if (result == RampResult::DeadlineExceeded) {
             // Supply faulted mid-restore (fade, glitch): report the
@@ -593,9 +560,8 @@ EdbBoard::closeEpisode()
     // A new debug request may have been raised while this episode
     // was still restoring (e.g. back-to-back printfs); service it.
     if (reqHigh) {
-        reqHandlerDue = now() + cfg.reqLatency;
-        reqHandlerEvent =
-            sim().schedule(reqHandlerDue, [this] { enterActive(); });
+        reqHandlerEvent = sim().schedule(now() + cfg.reqLatency,
+                                         [this] { enterActive(); });
     }
 }
 
@@ -817,248 +783,6 @@ EdbBoard::sessionResume()
         beginRestore(false);
     }
     waitPassive(2 * sim::oneSec);
-}
-
-void
-EdbBoard::saveState(sim::SnapshotWriter &w) const
-{
-    w.section("edbboard");
-    // Supervision-parameter fingerprint. A restore verifies these
-    // against its own config and rejects the snapshot on mismatch:
-    // retry budgets and timeouts must never be silently swapped
-    // under a mid-episode state machine.
-    w.tick(cfg.energySamplePeriod);
-    w.tick(cfg.reqLatency);
-    w.tick(cfg.linkProbeTimeout);
-    w.u32(cfg.linkProbeMax);
-    w.u32(cfg.guardProbeMax);
-    w.u32(cfg.ackRetryMax);
-    w.u32(cfg.readRetryMax);
-    w.u32(cfg.writeRetryMax);
-    w.u32(cfg.resumeRetryMax);
-    w.u32(cfg.readChunk);
-    w.tick(cfg.interByteTimeout);
-
-    // Episode state machine.
-    w.u8(static_cast<std::uint8_t>(mode));
-    w.u8(static_cast<std::uint8_t>(pendingIrqReason));
-    w.f64(savedVolts);
-    w.f64(restoredVolts);
-    w.f64(lastSavedTrue);
-    w.f64(lastRestoredTrue);
-    w.f64(lastVcapVolts);
-    w.boolean(reqHigh);
-    w.boolean(tether.enabled());
-    w.boolean(restoreAckAfter);
-    w.boolean(charger.active());
-
-    // Stream selection, watchpoint filter, breakpoint config.
-    w.boolean(streams_.energy);
-    w.boolean(streams_.iobus);
-    w.boolean(streams_.rfid);
-    w.boolean(streams_.watchpoints);
-    w.boolean(watchAll);
-    w.u32(static_cast<std::uint32_t>(watchpoints.size()));
-    for (const auto &[id, on] : watchpoints) {
-        w.u32(id);
-        w.boolean(on);
-    }
-    w.u32(static_cast<std::uint32_t>(codeBkpts.size()));
-    for (const auto &[id, thresh] : codeBkpts) {
-        w.u32(id);
-        w.boolean(thresh.has_value());
-        w.f64(thresh.value_or(0.0));
-    }
-    w.boolean(energyBkptVolts.has_value());
-    w.f64(energyBkptVolts.value_or(0.0));
-    w.boolean(energyBkptArmed);
-
-    // Supervision counters: probe/retry budgets already consumed in
-    // the current episode plus the lifetime link-health statistics.
-    w.u32(probesSent);
-    w.u32(ackRetries);
-    w.u64(framesOkAtLastCheck);
-    w.u64(linkStats_.probes);
-    w.u64(linkStats_.ackRetransmits);
-    w.u64(linkStats_.readRetries);
-    w.u64(linkStats_.writeRetries);
-    w.u64(linkStats_.resumeRetries);
-    w.u64(linkStats_.degradedEpisodes);
-    w.u64(linkStats_.abortedEpisodes);
-    w.blob(lastAbortReason_.data(), lastAbortReason_.size());
-    w.u64(auditSeen);
-    w.u64(printfs);
-    w.u64(guards);
-    w.u64(asserts);
-    w.u64(bkpts);
-
-    // Session command plumbing.
-    w.blob(lastReadReply.data(), lastReadReply.size());
-    w.boolean(writeAcked);
-
-    // Debugger->target UART queue and the byte in flight.
-    w.u32(static_cast<std::uint32_t>(txQueue.size()));
-    for (std::uint8_t b : txQueue)
-        w.u8(b);
-    w.boolean(txBusy);
-    w.u8(txInFlight);
-
-    // Host-side frame parser (mid-frame state + parse stats).
-    protocol.saveState(w);
-
-    // Pending events (rearmed in this order on restore).
-    w.pendingEvent(sampleEvent, sampleDue);
-    w.pendingEvent(reqHandlerEvent, reqHandlerDue);
-    w.pendingEvent(watchdogEvent, watchdogDue);
-    w.pendingEvent(txEvent, txDue);
-}
-
-void
-EdbBoard::restoreState(sim::SnapshotReader &r,
-                       sim::EventRearmer &rearmer)
-{
-    r.section("edbboard");
-    // Reject a snapshot whose supervision parameters differ from
-    // this board's: restoring mid-episode retry counters against
-    // different budgets would corrupt the episode state machine.
-    bool same = true;
-    same &= r.tick() == cfg.energySamplePeriod;
-    same &= r.tick() == cfg.reqLatency;
-    same &= r.tick() == cfg.linkProbeTimeout;
-    same &= r.u32() == cfg.linkProbeMax;
-    same &= r.u32() == cfg.guardProbeMax;
-    same &= r.u32() == cfg.ackRetryMax;
-    same &= r.u32() == cfg.readRetryMax;
-    same &= r.u32() == cfg.writeRetryMax;
-    same &= r.u32() == cfg.resumeRetryMax;
-    same &= r.u32() == cfg.readChunk;
-    same &= r.tick() == cfg.interByteTimeout;
-    if (!same) {
-        r.invalidate();
-        return;
-    }
-
-    mode = static_cast<Mode>(r.u8());
-    pendingIrqReason = static_cast<SessionReason>(r.u8());
-    savedVolts = r.f64();
-    restoredVolts = r.f64();
-    lastSavedTrue = r.f64();
-    lastRestoredTrue = r.f64();
-    lastVcapVolts = r.f64();
-    reqHigh = r.boolean();
-    tether.setEnabled(r.boolean());
-    restoreAckAfter = r.boolean();
-    bool chargerWasActive = r.boolean();
-
-    streams_.energy = r.boolean();
-    streams_.iobus = r.boolean();
-    streams_.rfid = r.boolean();
-    streams_.watchpoints = r.boolean();
-    watchAll = r.boolean();
-    watchpoints.clear();
-    std::uint32_t nwatch = r.u32();
-    for (std::uint32_t i = 0; i < nwatch && r.ok(); ++i) {
-        unsigned id = r.u32();
-        watchpoints[id] = r.boolean();
-    }
-    codeBkpts.clear();
-    std::uint32_t nbkpt = r.u32();
-    for (std::uint32_t i = 0; i < nbkpt && r.ok(); ++i) {
-        unsigned id = r.u32();
-        bool has = r.boolean();
-        double thresh = r.f64();
-        codeBkpts[id] =
-            has ? std::optional<double>(thresh) : std::nullopt;
-    }
-    bool hasEnergyBkpt = r.boolean();
-    double energyVolts = r.f64();
-    energyBkptVolts = hasEnergyBkpt
-                          ? std::optional<double>(energyVolts)
-                          : std::nullopt;
-    energyBkptArmed = r.boolean();
-
-    probesSent = r.u32();
-    ackRetries = r.u32();
-    framesOkAtLastCheck = r.u64();
-    linkStats_.probes = r.u64();
-    linkStats_.ackRetransmits = r.u64();
-    linkStats_.readRetries = r.u64();
-    linkStats_.writeRetries = r.u64();
-    linkStats_.resumeRetries = r.u64();
-    linkStats_.degradedEpisodes = r.u64();
-    linkStats_.abortedEpisodes = r.u64();
-    {
-        auto b = r.blob();
-        lastAbortReason_.assign(b.begin(), b.end());
-    }
-    auditSeen = r.u64();
-    printfs = r.u64();
-    guards = r.u64();
-    asserts = r.u64();
-    bkpts = r.u64();
-
-    lastReadReply = r.blob();
-    writeAcked = r.boolean();
-
-    txQueue.clear();
-    std::uint32_t ntx = r.u32();
-    for (std::uint32_t i = 0; i < ntx && r.ok(); ++i)
-        txQueue.push_back(r.u8());
-    txBusy = r.boolean();
-    txInFlight = r.u8();
-
-    protocol.restoreState(r);
-
-    // Cancel whatever this (fresh or rewound) board has pending —
-    // the constructor's first energy sample in particular — before
-    // rearming the saved residue.
-    if (sampleEvent != sim::invalidEventId) {
-        sim().cancel(sampleEvent);
-        sampleEvent = sim::invalidEventId;
-    }
-    if (reqHandlerEvent != sim::invalidEventId) {
-        sim().cancel(reqHandlerEvent);
-        reqHandlerEvent = sim::invalidEventId;
-    }
-    cancelWatchdog();
-    if (txEvent != sim::invalidEventId) {
-        sim().cancel(txEvent);
-        txEvent = sim::invalidEventId;
-    }
-    charger.abort();
-    r.pendingEvent(
-        rearmer, [this] { sampleEnergy(); },
-        [this](sim::EventId id, sim::Tick due) {
-            sampleEvent = id;
-            sampleDue = due;
-        });
-    r.pendingEvent(
-        rearmer, [this] { enterActive(); },
-        [this](sim::EventId id, sim::Tick due) {
-            reqHandlerEvent = id;
-            reqHandlerDue = due;
-        });
-    r.pendingEvent(
-        rearmer, [this] { episodeWatchdog(); },
-        [this](sim::EventId id, sim::Tick due) {
-            watchdogEvent = id;
-            watchdogDue = due;
-        });
-    r.pendingEvent(
-        rearmer, [this] { deliverTxByte(); },
-        [this](sim::EventId id, sim::Tick due) {
-            txEvent = id;
-            txDue = due;
-        });
-
-    // The charge circuit's ramp-control callback cannot be
-    // serialized. A snapshot taken mid-ramp restarts the restore
-    // ramp from the (restored) capacitor level: same destination
-    // and completion semantics, progress bounded by the charger's
-    // own deadline. Fleet boards are passive, so this path only
-    // fires for snapshots taken inside an active episode.
-    if (chargerWasActive && mode == Mode::Restoring && r.ok())
-        armRestoreRamp();
 }
 
 } // namespace edb::edbdbg

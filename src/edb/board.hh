@@ -39,12 +39,6 @@
 #include "target/wisp.hh"
 #include "trace/trace.hh"
 
-namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
-class EventRearmer;
-} // namespace edb::sim
-
 namespace edb::edbdbg {
 
 /** EDB board configuration. */
@@ -246,23 +240,6 @@ class EdbBoard : public sim::Component
     /** Pump the simulator until `cond` holds or `timeout` elapses. */
     bool pumpUntil(const std::function<bool()> &cond, sim::Tick timeout);
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// Covers the supervision state machine — mode, retry/probe
-    /// counters, watchdog & sampling events, the host parser and the
-    /// debugger->target UART queue — plus a fingerprint of every
-    /// retry/backoff config knob. Restoring against a board built
-    /// with different supervision parameters invalidates the reader
-    /// instead of silently resetting budgets mid-episode. The
-    /// host-side DebugSession object and the passive trace buffer do
-    /// not travel (observability, not behaviour); a snapshot taken
-    /// mid-charge-ramp restarts the ramp from the restored capacitor
-    /// level (bounded by the charger's own deadline).
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r,
-                      sim::EventRearmer &rearmer);
-    /// @}
-
   private:
     friend class DebugSession;
 
@@ -283,9 +260,8 @@ class EdbBoard : public sim::Component
     void sendToTarget(std::uint8_t byte);
     void sendFrame(const std::vector<std::uint8_t> &payload);
     void pumpTxQueue();
-    void deliverTxByte();
+    void deliverTxByte(std::uint8_t byte);
     void beginRestore(bool ack_after);
-    void armRestoreRamp();
     void closeEpisode();
     void openSession(SessionReason reason, std::uint16_t id);
     void episodeWatchdog();
@@ -319,11 +295,6 @@ class EdbBoard : public sim::Component
     double lastVcapVolts = 0.0;
     bool reqHigh = false;
     sim::EventId reqHandlerEvent = sim::invalidEventId;
-    sim::Tick reqHandlerDue = 0;
-
-    // Passive energy-sampling event (self-rescheduling).
-    sim::EventId sampleEvent = sim::invalidEventId;
-    sim::Tick sampleDue = 0;
 
     // Watchpoint filter: empty set + watchAll => log everything.
     bool watchAll = true;
@@ -338,19 +309,9 @@ class EdbBoard : public sim::Component
     PrintfSink printfSink;
     SessionHook sessionHook;
 
-    // Debugger->target UART pacing. One byte is in flight at a time
-    // (txBusy); its value and delivery event are tracked so snapshots
-    // can rearm a mid-byte transmission exactly.
+    // Debugger->target UART pacing: one byte is in flight at a time.
     std::deque<std::uint8_t> txQueue;
     bool txBusy = false;
-    sim::EventId txEvent = sim::invalidEventId;
-    sim::Tick txDue = 0;
-    std::uint8_t txInFlight = 0;
-
-    // Whether the in-progress restore ramp should send ackRestored
-    // when it converges (beginRestore's ack_after, persisted so a
-    // snapshot can restart the ramp with the same completion).
-    bool restoreAckAfter = false;
 
     // Session read/write reply collection (one complete frame each).
     std::vector<std::uint8_t> lastReadReply;
@@ -358,7 +319,6 @@ class EdbBoard : public sim::Component
 
     // Episode watchdog (probing / ack retransmission).
     sim::EventId watchdogEvent = sim::invalidEventId;
-    sim::Tick watchdogDue = 0;
     unsigned probesSent = 0;
     unsigned ackRetries = 0;
     std::uint64_t framesOkAtLastCheck = 0;

@@ -27,11 +27,6 @@
 
 #include "sim/time.hh"
 
-namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
-} // namespace edb::sim
-
 namespace edb::edbdbg {
 
 /** Build one wire frame (sync + len + payload + CRC) around a
@@ -102,15 +97,6 @@ class ProtocolEngine
     void setInterByteTimeout(sim::Tick t) { interByteTimeout = t; }
 
     const Stats &stats() const { return stats_; }
-
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// Parser state, partial frame and link-health counters — a
-    /// restored board resumes mid-frame instead of silently starting
-    /// a fresh hunt with zeroed supervision history.
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
-    /// @}
 
   private:
     enum class State

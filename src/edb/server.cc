@@ -1,6 +1,7 @@
 #include "edb/server.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -256,14 +257,54 @@ JsonParser::value(std::size_t depth)
             return std::nullopt;
         }
     }
-    // Number.
-    const char *start = s.c_str() + pos;
-    char *end = nullptr;
-    double d = std::strtod(start, &end);
-    if (end == start)
+    // Number, by the RFC 8259 grammar:
+    //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+    // strtod alone would also take "nan", "inf", "+1" and "0x2".
+    const std::size_t start = pos;
+    auto digits = [this] {
+        const std::size_t from = pos;
+        while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
+            ++pos;
+        return pos > from;
+    };
+    if (s[pos] == '-')
+        ++pos;
+    if (pos < s.size() && s[pos] == '0')
+        ++pos;
+    else if (!digits())
         return std::nullopt;
-    pos += static_cast<std::size_t>(end - start);
-    return Build::number(d);
+    if (pos < s.size() && s[pos] == '.') {
+        ++pos;
+        if (!digits())
+            return std::nullopt;
+    }
+    if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
+        ++pos;
+        if (pos < s.size() && (s[pos] == '+' || s[pos] == '-'))
+            ++pos;
+        if (!digits())
+            return std::nullopt;
+    }
+    return Build::number(
+        std::strtod(s.substr(start, pos - start).c_str(), nullptr));
+}
+
+/** Unsigned decimal (no leading zeros, as in a JSON number) or
+ *  0x-hex text: no sign, no spaces, no overflow. */
+std::optional<std::uint64_t>
+parseUnsigned(const std::string &text)
+{
+    const bool hex = text.size() > 2 && text[0] == '0' &&
+                     (text[1] == 'x' || text[1] == 'X');
+    const char *first = text.data() + (hex ? 2 : 0);
+    const char *last = text.data() + text.size();
+    if (first == last || (!hex && *first == '0' && last - first > 1))
+        return std::nullopt;
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(first, last, v, hex ? 16 : 10);
+    if (ec != std::errc() || end != last)
+        return std::nullopt;
+    return v;
 }
 
 } // namespace
@@ -313,18 +354,16 @@ JsonValue::getUint(const std::string &key) const
     if (!v)
         return std::nullopt;
     if (v->type_ == Type::Num) {
-        if (v->num_ < 0 || v->num_ > 1.8e19)
+        // Finite, non-negative integers below 2^64 only: a fraction
+        // must not truncate into a valid id, and casting NaN or an
+        // out-of-range value is undefined behaviour.
+        const double d = v->num_;
+        if (!(d >= 0.0 && d < 0x1p64) || d != std::floor(d))
             return std::nullopt;
-        return static_cast<std::uint64_t>(v->num_);
+        return static_cast<std::uint64_t>(d);
     }
-    if (v->type_ == Type::Str && !v->str_.empty()) {
-        const char *start = v->str_.c_str();
-        char *end = nullptr;
-        unsigned long long u = std::strtoull(start, &end, 0);
-        if (end == start || *end != '\0')
-            return std::nullopt;
-        return static_cast<std::uint64_t>(u);
-    }
+    if (v->type_ == Type::Str)
+        return parseUnsigned(v->str_);
     return std::nullopt;
 }
 
@@ -457,16 +496,10 @@ DebugServer::DebugServer(fleet::Fleet &fleet, ServerConfig config)
     : fleet_(fleet), cfg(config)
 {}
 
-DebugServer::~DebugServer()
-{
-    // Tracers installed on fleet worlds capture probe objects this
-    // server owns; unwind them (restoring any world-owned tracer
-    // they chained under) so the fleet can keep running.
-    for (auto &[w, probe] : probes) {
-        if (w < fleet_.size())
-            probe.uninstall(fleet_.world(w).wisp());
-    }
-}
+// Destroying `probes` unwinds every tracer they installed, restoring
+// any world-owned tracer they chained under, so the fleet can keep
+// running without the server.
+DebugServer::~DebugServer() = default;
 
 void
 DebugServer::setSymbols(isa::SymbolTable table)
@@ -503,43 +536,8 @@ DebugServer::connect(const std::string &client_name)
 }
 
 void
-DebugServer::installProbes()
-{
-    std::vector<std::size_t> doomed;
-    for (auto &[w, probe] : probes) {
-        if (w >= fleet_.size())
-            continue;
-        if (probe.empty()) {
-            // Last breakpoint on this world is gone: release the
-            // tracer so the world's slices run untraced again. Fold any
-            // still-unaccounted buffer overflow into stats first,
-            // and retire the drop watermark with the probe — a
-            // stale watermark would silently swallow the drops of a
-            // future probe on the same world.
-            probe.uninstall(fleet_.world(w).wisp());
-            const std::uint64_t d = probe.droppedHits();
-            const auto seen = probeDropsSeen.find(w);
-            const std::uint64_t folded =
-                seen == probeDropsSeen.end() ? 0 : seen->second;
-            if (d > folded)
-                stats_.hitsDropped += d - folded;
-            if (seen != probeDropsSeen.end())
-                probeDropsSeen.erase(seen);
-            doomed.push_back(w);
-            continue;
-        }
-        // Rebalance migrations build fresh worlds (fresh tracers),
-        // so installation is repeated every epoch.
-        probe.install(fleet_.world(w).wisp());
-    }
-    for (std::size_t w : doomed)
-        probes.erase(w);
-}
-
-void
 DebugServer::runEpoch()
 {
-    installProbes();
     fleet_.runEpochs(1);
     poll();
 }
@@ -562,6 +560,34 @@ DebugServer::poll()
     shedOverBudget();
     superviseSessions();
     flushOutboxes();
+    releaseEmptyProbes();
+}
+
+void
+DebugServer::releaseEmptyProbes()
+{
+    for (auto it = probes.begin(); it != probes.end();) {
+        if (!it->second.empty()) {
+            ++it;
+            continue;
+        }
+        // Last breakpoint on this world is gone: release the tracer
+        // (the probe's destructor uninstalls it) so the world's
+        // slices run untraced again. Fold any still-unaccounted
+        // buffer overflow into stats first, and retire the drop
+        // watermark with the probe — a stale watermark would
+        // silently swallow the drops of a future probe on the same
+        // world.
+        const std::uint64_t d = it->second.droppedHits();
+        const auto seen = probeDropsSeen.find(it->first);
+        const std::uint64_t folded =
+            seen == probeDropsSeen.end() ? 0 : seen->second;
+        if (d > folded)
+            stats_.hitsDropped += d - folded;
+        if (seen != probeDropsSeen.end())
+            probeDropsSeen.erase(seen);
+        it = probes.erase(it);
+    }
 }
 
 void
@@ -664,6 +690,17 @@ hexAddr(std::uint64_t v)
     return o.str();
 }
 
+/** The request's "addr" member, when present and inside the EH32
+ *  address space (a wider value would alias once cast to Addr). */
+std::optional<mem::Addr>
+addrArg(const JsonValue &req)
+{
+    auto v = req.getUint("addr");
+    if (!v || *v >= mem::addrSpaceSize)
+        return std::nullopt;
+    return static_cast<mem::Addr>(*v);
+}
+
 } // namespace
 
 void
@@ -763,14 +800,10 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
                 o << "\"ok\":true,\"v\":" << hexAddr(*v)
                   << ",\"line\":" << symbols_.lineOf(*v) << "}";
             }
-        } else if (auto addr = req.getUint("addr")) {
+        } else if (auto addr = addrArg(req)) {
             o << "\"ok\":true,\"sym\":\""
-              << jsonEscape(symbols_.symbolize(
-                     static_cast<std::uint32_t>(*addr)))
-              << "\",\"line\":"
-              << symbols_.lineOf(
-                     static_cast<std::uint32_t>(*addr))
-              << "}";
+              << jsonEscape(symbols_.symbolize(*addr))
+              << "\",\"line\":" << symbols_.lineOf(*addr) << "}";
         } else {
             err("args");
         }
@@ -787,7 +820,7 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
     target::Wisp &wisp = fleet_.world(s.world).wisp();
 
     if (m == "setbreak") {
-        std::optional<std::uint64_t> addr = req.getUint("addr");
+        std::optional<mem::Addr> addr = addrArg(req);
         if (!addr) {
             if (auto sym = req.getStr("sym"))
                 if (auto v = symbols_.lookup(*sym))
@@ -805,13 +838,14 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
             if (!cond) {
                 err("cond");
             } else {
-                auto [it, fresh] = probes.try_emplace(
-                    s.world, WorldProbe(cfg.maxHitsPerWorld));
-                (void)fresh;
+                auto [it, fresh] =
+                    probes.try_emplace(s.world, cfg.maxHitsPerWorld);
+                if (fresh)
+                    it->second.install(wisp);
                 VirtualBreakpoint bp;
                 bp.id = nextBreakId++;
                 bp.sessionId = s.id;
-                bp.addr = static_cast<mem::Addr>(*addr);
+                bp.addr = *addr;
                 bp.cond = std::move(*cond);
                 it->second.put(bp);
                 ++s.breakCount;
@@ -825,14 +859,13 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
         auto bk = req.getUint("bk");
         auto it = probes.find(s.world);
         const VirtualBreakpoint *bp =
-            (bk && it != probes.end())
-                ? it->second.find(
-                      static_cast<std::uint32_t>(*bk))
+            (bk && *bk <= UINT32_MAX && it != probes.end())
+                ? it->second.find(static_cast<std::uint32_t>(*bk))
                 : nullptr;
         if (!bp || bp->sessionId != s.id) {
             err("bk");
         } else {
-            it->second.erase(static_cast<std::uint32_t>(*bk));
+            it->second.erase(bp->id);
             --s.breakCount;
             o << "\"ok\":true}";
         }
@@ -871,14 +904,14 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
         return;
     }
     if (m == "read") {
-        auto addr = req.getUint("addr");
+        auto addr = addrArg(req);
         std::size_t len = static_cast<std::size_t>(
             req.getUint("len").value_or(4));
         if (len > cfg.readChunkMax)
             len = cfg.readChunkMax;
         const std::uint8_t *base = nullptr;
         if (addr) {
-            mem::Addr a = static_cast<mem::Addr>(*addr);
+            const mem::Addr a = *addr;
             namespace lay = target::layout;
             // Raw region arrays only: routing through the memory
             // map could touch MMIO and perturb the target.
@@ -1006,7 +1039,7 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
             enqueueReply(s, o.str());
             return;
         }
-        auto addr = req.getUint("addr");
+        auto addr = addrArg(req);
         auto data = req.getStr("d");
         if (!addr || !data || data->empty() ||
             data->size() % 2 != 0 ||
@@ -1035,7 +1068,7 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
             // Routed through the memory map on purpose: rw writes
             // are honest interference (wear, NV energy, MMIO).
             auto res = wisp.memoryMap().write8(
-                static_cast<mem::Addr>(*addr + wrote),
+                *addr + static_cast<mem::Addr>(wrote),
                 static_cast<std::uint8_t>((hi << 4) | lo));
             ok = res == mem::AccessResult::Ok;
             if (ok)
@@ -1250,7 +1283,7 @@ DebugServer::terminate(Session &s, SessionOutcome outcome,
     s.outcome = outcome;
     s.reason = reason;
     // Its breakpoints die with it (and the tracer, if it held the
-    // last ones on that world, is released next installProbes).
+    // last ones on that world, is released at the end of the poll).
     if (s.world < fleet_.size()) {
         auto it = probes.find(s.world);
         if (it != probes.end())

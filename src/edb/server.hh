@@ -14,7 +14,10 @@
  * clients attached (the chaos soak pins this), and every command
  * handler additionally asserts a zero capacitor-voltage delta — the
  * charge/restore discipline of the paper's active mode, degenerated
- * to "you may not move the needle at all".
+ * to "you may not move the needle at all". A world's breakpoint
+ * probe is installed once, by the first `setbreak` on it, and
+ * survives fleet rebalancing, which re-homes worlds without
+ * rebuilding them.
  *
  * Wire format: each direction carries the CRC-framed byte protocol
  * of runtime/protocol_defs.hh (sync + len + payload + CRC-8), with
@@ -107,8 +110,11 @@ class JsonValue
     const std::vector<JsonValue> &arr() const { return arr_; }
 
     /**
-     * Read a member as an integer, accepting both JSON numbers and
-     * "0x..." hex strings (addresses travel as hex text).
+     * Read a member as an unsigned integer: a JSON number that is a
+     * finite, non-negative integer below 2^64, or a string of
+     * unsigned decimal or "0x..." hex (addresses travel as hex
+     * text). Anything else — fractions, signs, spaces, overflow —
+     * reads as absent.
      */
     std::optional<std::uint64_t>
     getUint(const std::string &key) const;
@@ -278,12 +284,8 @@ class DebugServer
      */
     ClientWire *connect(const std::string &client_name);
 
-    /**
-     * Drive the fleet one epoch and service clients at the barrier.
-     * Breakpoint probes are (re-)installed on every attached world
-     * before the epoch runs — rebalance migrations build fresh
-     * worlds, losing tracers, so installation must repeat.
-     */
+    /** Drive the fleet one epoch and service clients at the
+     *  barrier. */
     void runEpoch();
     /** `runEpoch` n times. */
     void runEpochs(unsigned epochs);
@@ -315,7 +317,6 @@ class DebugServer
   private:
     struct Session;
 
-    void installProbes();
     void drainWires();
     void serveCommands();
     void deliverHits();
@@ -323,6 +324,7 @@ class DebugServer
     void superviseSessions();
     void shedOverBudget();
     void reapDisconnected();
+    void releaseEmptyProbes();
 
     void onFrame(Session &s, const std::vector<std::uint8_t> &pl);
     void execute(Session &s, const JsonValue &req);
@@ -341,7 +343,9 @@ class DebugServer
     ServerConfig cfg;
     isa::SymbolTable symbols_;
     std::vector<std::unique_ptr<Session>> sessions;
-    /** Probes by world index; installed as tracers each epoch. */
+    /** Probes by world index. A probe is installed as its world's
+     *  tracer by the first `setbreak` and released (uninstalled) at
+     *  the end of the poll that leaves it empty. */
     std::map<std::size_t, WorldProbe> probes;
     /** Probe-buffer drops already folded into stats_. */
     std::map<std::size_t, std::uint64_t> probeDropsSeen;

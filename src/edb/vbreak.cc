@@ -1,6 +1,7 @@
 #include "edb/vbreak.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "energy/power_system.hh"
@@ -320,6 +321,12 @@ class Parser
             fail("expected ']'");
             return false;
         }
+        // A negative, fractional, non-finite or wider-than-32-bit
+        // index is no address, and casting it would be undefined.
+        if (!(addr >= 0.0 && addr < 0x1p32) || addr != std::floor(addr)) {
+            fail("address out of range");
+            return false;
+        }
         op.kind = kind;
         op.addr = static_cast<mem::Addr>(addr);
         return true;
@@ -417,35 +424,30 @@ VBreakCondition::eval(const target::Wisp &wisp) const
 void
 WorldProbe::install(target::Wisp &wisp)
 {
-    auto &m = wisp.mcu();
-    if (m.tracerOwner() == this)
+    if (device == &wisp)
         return; // our chain is already on this core
+    uninstall();
+    device = &wisp;
     // A world may own a tracer of its own (the WAR-gadget watch on
     // auditor-completeness worlds). Chain under it so attaching a
     // breakpoint never disables the world's probe; it is restored
     // verbatim by uninstall().
-    chained = m.tracerHook();
-    target::Wisp *device = &wisp;
-    m.setTracer(
-        [this, device](mem::Addr pc, const isa::Instr &in) {
-            if (chained)
-                chained(pc, in);
-            onInstruction(*device, pc);
-        },
-        this);
+    chained = wisp.mcu().tracerHook();
+    wisp.mcu().setTracer([this](mem::Addr pc, const isa::Instr &in) {
+        if (chained)
+            chained(pc, in);
+        onInstruction(*device, pc);
+    });
 }
 
 void
-WorldProbe::uninstall(target::Wisp &wisp)
+WorldProbe::uninstall()
 {
-    auto &m = wisp.mcu();
-    // A rebalance-migrated world was rebuilt with a fresh core and
-    // its own tracer; only unwind a hook we actually installed —
-    // restoring a stale `chained` there would resurrect a lambda
-    // bound to the old, destroyed world.
-    if (m.tracerOwner() == this)
-        m.setTracer(std::move(chained));
+    if (!device)
+        return;
+    device->mcu().setTracer(std::move(chained));
     chained = {};
+    device = nullptr;
 }
 
 void

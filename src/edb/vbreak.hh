@@ -15,6 +15,12 @@
  * fast engine resync with the event queue after every instruction,
  * which the engine's bit-identity contract makes unobservable).
  *
+ * A world's breakpoints live in one `WorldProbe`, installed as the
+ * world's tracer when its first breakpoint is set and released when
+ * the last one is gone. Fleet rebalancing only re-homes a world to
+ * another pool shard and never rebuilds it, so an installed probe
+ * stays valid across any number of shard moves.
+ *
  * Conditions are parsed once into a small expression tree; evaluation
  * is strictly read-only — registers via `Mcu::reg`, NV/SRAM words via
  * the raw region arrays (never the memory map, which would trip MMIO
@@ -31,9 +37,10 @@
  *              | nv[ADDR] | sram[ADDR] | NUMBER
  *
  * `nv[a]` reads the 32-bit little-endian FRAM word at absolute
- * address `a`; `sram[a]` likewise for SRAM. Out-of-range addresses
- * evaluate to 0 (a condition can never fault the host). Numbers may
- * be decimal, 0x-hex, or floating point (for `vcap` thresholds).
+ * address `a`; `sram[a]` likewise for SRAM. `a` must be an unsigned
+ * 32-bit integer; addresses outside the region evaluate to 0 (a
+ * condition can never fault the host). Numbers may be decimal,
+ * 0x-hex, or floating point (for `vcap` thresholds).
  *
  * Condition text arrives off the wire, so hostile input is bounded
  * at parse time: text over 4096 bytes and parenthesis nesting past
@@ -123,13 +130,13 @@ struct VBreakHit
 };
 
 /**
- * The per-world breakpoint set plus its bounded hit buffer. The
- * debug server installs one probe per attached world as an MCU
- * tracer. Mutation of the breakpoint map happens only in the fleet's
- * sequential barrier phases; during the parallel advance phase the
- * tracer (run by the single worker that owns the world) only reads
- * the map and appends to this probe's own buffer, so no locking is
- * needed anywhere.
+ * The per-world breakpoint set plus its bounded hit buffer, installed
+ * as the world's MCU tracer (see the file header for when). Mutation
+ * of the breakpoint map happens only in the fleet's sequential
+ * barrier phases; during the parallel advance phase the tracer (run
+ * by the single worker that owns the world) only reads the map and
+ * appends to this probe's own buffer, so no locking is needed
+ * anywhere.
  *
  * The hit buffer is bounded (`maxPendingHits`): a breakpoint in a
  * hot loop cannot take the server's memory down; overflow is counted
@@ -142,25 +149,27 @@ class WorldProbe
     explicit WorldProbe(std::size_t max_pending_hits = 256)
         : maxPendingHits(max_pending_hits)
     {}
+    /** The installed tracer captures `this`: a probe never moves. */
+    WorldProbe(const WorldProbe &) = delete;
+    WorldProbe &operator=(const WorldProbe &) = delete;
+    ~WorldProbe() { uninstall(); }
 
     /**
-     * Install (or re-install) this probe's tracer on `wisp`. The
-     * fleet's rebalance step migrates worlds into fresh objects, so
-     * the server calls this at every barrier poll; installing on the
-     * same device twice is harmless (the second call is a no-op).
-     * A tracer the world already owns — e.g. the WAR-gadget watch on
+     * Install this probe's tracer on `wisp` (moving it off any other
+     * device); installing on the same device twice is harmless (the
+     * second call is a no-op). A tracer
+     * the world already owns — e.g. the WAR-gadget watch on
      * auditor-completeness worlds — is chained under this probe's
      * hook, not clobbered, and keeps firing for every instruction.
      */
     void install(target::Wisp &wisp);
 
     /**
-     * Remove the tracer (last session on the world detached),
+     * Remove the tracer (last breakpoint on the world gone),
      * restoring whatever tracer the world owned before install().
-     * A no-op on a device this probe's hook is not installed on
-     * (e.g. a rebalance-migrated world rebuilt with its own tracer).
+     * A no-op when the probe is not installed.
      */
-    void uninstall(target::Wisp &wisp);
+    void uninstall();
 
     /** Add or replace a breakpoint. */
     void put(const VirtualBreakpoint &bp);
@@ -190,6 +199,8 @@ class WorldProbe
     void onInstruction(const target::Wisp &wisp, mem::Addr pc);
 
     std::size_t maxPendingHits;
+    /** The device the hook is installed on (nullptr = none). */
+    target::Wisp *device = nullptr;
     /** The tracer the device owned before install() chained under
      *  it; invoked from our hook and restored by uninstall(). */
     std::function<void(mem::Addr, const isa::Instr &)> chained;

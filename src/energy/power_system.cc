@@ -188,18 +188,22 @@ PowerSystem::restoreState(sim::SnapshotReader &r,
     chargeOut = r.f64();
     boots = r.u64();
     brownOuts = r.u64();
-    std::uint32_t nloads = r.u32();
-    if (nloads == loads.size()) {
-        for (auto &load : loads) {
-            load.amps = r.f64();
-            load.enabled = r.boolean();
-        }
+    // A different load or source count means a differently wired
+    // device: reject, as Ram::restoreState rejects a size mismatch.
+    if (r.u32() != loads.size()) {
+        r.invalidate();
+        return;
     }
-    std::uint32_t nsources = r.u32();
-    if (nsources == sources.size()) {
-        for (auto &src : sources)
-            src.enabled = r.boolean();
+    for (auto &load : loads) {
+        load.amps = r.f64();
+        load.enabled = r.boolean();
     }
+    if (r.u32() != sources.size()) {
+        r.invalidate();
+        return;
+    }
+    for (auto &src : sources)
+        src.enabled = r.boolean();
     invalidateLoadSum();
     integrating = false;
     if (tickEvent != sim::invalidEventId) {

@@ -58,7 +58,6 @@ Fleet::buildWorlds(const FirmwareFn &firmware)
     // every other world's simulation.
     sim::Rng placement(sim::deriveSeed(cfg.seed, distanceStream));
     worlds.reserve(cfg.tags);
-    worldCfgs.reserve(cfg.tags);
     worldImage.reserve(cfg.tags);
     homeShard.reserve(cfg.tags);
     for (std::uint32_t i = 0; i < cfg.tags; ++i) {
@@ -84,7 +83,6 @@ Fleet::buildWorlds(const FirmwareFn &firmware)
         if (fw.initialVolts >= 0.0)
             wc.wisp.power.initialVolts = fw.initialVolts;
         wc.withAuditor = cfg.withAuditor || fw.warMutant;
-        wc.withEdb = cfg.edbEvery != 0 && i % cfg.edbEvery == 0;
         wc.schedule = fw.schedule;
         if (fw.warMutant)
             wc.warDoneWatch = prog.symbol("war_done");
@@ -93,7 +91,6 @@ Fleet::buildWorlds(const FirmwareFn &firmware)
         w->simulator().logger().setSink(&sink_);
         w->start();
         worlds.push_back(std::move(w));
-        worldCfgs.push_back(std::move(wc));
         worldImage.push_back(&prog);
         homeShard.push_back(i % pool_.shards());
     }
@@ -139,7 +136,7 @@ Fleet::runEpochs(unsigned epochs)
             }
         }
 
-        // Phase 4 (sequential): rebalance shards by migration.
+        // Phase 4 (sequential): rebalance shards by re-homing.
         clock = epochEnd;
         ++epochIndex;
         if (cfg.rebalancePeriod != 0 &&
@@ -155,8 +152,9 @@ Fleet::rebalance()
         return;
     // Shard load = instructions its worlds retired this epoch; move
     // the hottest world off the most-loaded shard. Decisions depend
-    // only on deterministic per-world counters, and the migration
-    // itself is a bit-identical continuation, so shard-count-specific
+    // only on deterministic per-world counters, and a move only
+    // changes which shard queues the world's task — the world itself
+    // stays where it is in shared memory — so shard-count-specific
     // choices cannot perturb any world's trajectory.
     std::vector<std::uint64_t> load(pool_.shards(), 0);
     for (std::size_t i = 0; i < worlds.size(); ++i)
@@ -180,12 +178,6 @@ Fleet::rebalance()
     }
     if (pick == worlds.size())
         return;
-    auto fresh =
-        std::make_unique<World>(*worldImage[pick], worldCfgs[pick]);
-    fresh->simulator().logger().setSink(&sink_);
-    if (!fresh->adoptFrom(*worlds[pick]))
-        return; // keep the original; migration is best-effort
-    worlds[pick] = std::move(fresh);
     homeShard[pick] = static_cast<unsigned>(cold);
     ++migrations_;
 }

@@ -16,17 +16,18 @@
  *                arbiter settles cross-world RF contention and
  *                feeds outcomes back into the worlds;
  *   4. balance:  every `rebalancePeriod` epochs the busiest world
- *                migrates — via a full snapshot round-trip — from
- *                the most- to the least-loaded shard.
+ *                is re-homed from the most- to the least-loaded
+ *                shard: only its home-shard index changes.
  *
  * Determinism argument: every cross-world decision happens in the
  * sequential phases in a canonical order, from inputs (instruction
  * counts, hashes, derived seeds) that are themselves deterministic;
  * the parallel phase only advances disjoint worlds whose coupling
- * inputs were fixed at plan time. Migration relies on the PR 5
- * bit-identical-resume guarantee, so even shard-count-dependent
- * rebalancing cannot perturb any world's trajectory — per-world
- * digests are bit-identical at 1, 2 and N shards (pinned by
+ * inputs were fixed at plan time. Worlds live in shared memory and
+ * never move, so re-homing one only changes which worker is likely
+ * to run it; shard-count-dependent rebalancing therefore cannot
+ * perturb any world's trajectory — per-world digests are
+ * bit-identical at 1, 2 and N shards (pinned by
  * tests/test_fleet.cc).
  *
  * Seed derivation: world `i` simulates under
@@ -94,8 +95,6 @@ struct FleetConfig
     target::WispConfig wisp = {};
     /** Attach the WAR auditor to every world. */
     bool withAuditor = false;
-    /** Attach a passive EDB board to every Nth world (0 = none). */
-    unsigned edbEvery = 0;
     /** Epochs between shard rebalancing migrations (0 = off). */
     unsigned rebalancePeriod = 0;
 };
@@ -138,7 +137,7 @@ class Fleet
     const ChannelStats &channelStats() const { return chan; }
     /** Shared thread-safe sink all world loggers feed. */
     sim::AggregatingSink &logSink() { return sink_; }
-    /** Current home shard of world `i` (migration moves it). */
+    /** Current home shard of world `i` (rebalancing re-homes it). */
     unsigned homeShardOf(std::size_t i) const { return homeShard[i]; }
     /** Assembled firmware image world `i` runs (shared across
      *  worlds with equal listings; used by the debug server's
@@ -171,7 +170,6 @@ class Fleet
     /** Assembled images, shared across worlds with equal listings. */
     std::map<std::string, isa::Program> images;
     std::vector<std::unique_ptr<World>> worlds;
-    std::vector<WorldConfig> worldCfgs;
     std::vector<const isa::Program *> worldImage;
     std::vector<unsigned> homeShard;
 

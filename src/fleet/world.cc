@@ -1,6 +1,7 @@
 #include "fleet/world.hh"
 
 #include "isa/isa.hh"
+#include "sim/snapshot.hh"
 
 namespace edb::fleet {
 
@@ -18,17 +19,6 @@ bootableWisp(target::WispConfig config)
     return config;
 }
 
-mem::NvAuditConfig
-auditConfigFor(const target::Wisp &wisp)
-{
-    mem::NvAuditConfig cfg;
-    cfg.nvBase = target::layout::framBase;
-    cfg.nvSize = target::layout::framSize;
-    cfg.checkpointBase = wisp.config().mcu.checkpointBase;
-    cfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-    return cfg;
-}
-
 } // namespace
 
 World::World(const isa::Program &program, const WorldConfig &config)
@@ -41,15 +31,10 @@ World::World(const isa::Program &program, const WorldConfig &config)
 {
     wisp_->flash(program);
     if (cfg.withAuditor) {
-        aud = std::make_unique<mem::NvAuditor>(auditConfigFor(*wisp_),
+        aud = std::make_unique<mem::NvAuditor>(wisp_->auditConfig(),
                                                wisp_->framRegion());
-        wisp_->mcu().setAuditor(aud.get());
-        wisp_->memoryMap().setWriteHook(&mem::NvAuditor::rawWriteHook,
-                                        aud.get());
+        wisp_->attachAuditor(aud.get());
     }
-    if (cfg.withEdb)
-        edb_ = std::make_unique<edbdbg::EdbBoard>(sim, "edb", *wisp_,
-                                                  nullptr);
     for (const fuzz::BrownOut &b : cfg.schedule)
         schedule.record(b.at, opBrownOut, b.volts);
     installHooks();
@@ -93,7 +78,6 @@ void
 World::planEpoch(sim::Tick epoch_start, sim::Tick epoch_end,
                  double carrier_fraction)
 {
-    epochStart = epoch_start;
     instrsAtEpochStart = instrCount();
     double frac = carrier_fraction;
     if (backoff) {
@@ -152,69 +136,12 @@ World::noteOutcome(rfid::SlotOutcome outcome)
     }
 }
 
-void
-World::saveTo(sim::SnapshotWriter &w) const
-{
-    wisp_->saveState(w);
-    if (aud)
-        aud->saveState(w);
-    if (edb_)
-        edb_->saveState(w);
-    w.section("fleetworld");
-    w.tick(epochStart);
-    w.u64(instrsAtEpochStart);
-    w.boolean(backoff);
-    w.u64(replies);
-    w.u64(collided);
-    w.u64(attempts);
-    w.boolean(gadgetLive);
-    w.u64(lossAfterGadget);
-}
-
-bool
-World::adoptFrom(const World &other)
-{
-    sim::SnapshotWriter w;
-    other.saveTo(w);
-    sim::SnapshotReader r;
-    if (!r.load(w.finish()))
-        return false;
-    sim::EventRearmer rearmer(sim);
-    wisp_->restoreState(r, rearmer);
-    if (aud)
-        aud->restoreState(r);
-    if (edb_)
-        edb_->restoreState(r, rearmer);
-    r.section("fleetworld");
-    epochStart = r.tick();
-    instrsAtEpochStart = r.u64();
-    backoff = r.boolean();
-    replies = r.u64();
-    collided = r.u64();
-    attempts = r.u64();
-    gadgetLive = r.boolean();
-    lossAfterGadget = r.u64();
-    if (!r.ok())
-        return false;
-    rearmer.flush();
-    // Re-arm the forced-schedule suffix: entries at or before the
-    // migration tick are already reflected in the restored state.
-    if (!schedule.entries().empty())
-        player.arm(schedule, sim.now(),
-                   [this](const sim::ScheduleEntry &e) {
-                       if (e.op == opBrownOut)
-                           wisp_->power().capacitor().setVoltage(
-                               e.arg);
-                   });
-    return true;
-}
-
 WorldDigest
 World::digest() const
 {
     // Architectural digest only: raw event-queue ids are excluded on
-    // purpose, because a snapshot round-trip (migration) relabels
-    // them while leaving the continuation bit-identical.
+    // purpose, because a snapshot round-trip relabels them while
+    // leaving the continuation bit-identical.
     sim::SnapshotWriter w;
     const mcu::Mcu &m = wisp_->mcu();
     w.u64(m.instrCount());

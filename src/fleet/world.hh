@@ -1,9 +1,8 @@
 /**
  * @file
  * One world of a fleet: an isolated, deterministic simulation of a
- * single tag (Simulator + harvester + Wisp, optionally an NV auditor
- * and an EDB board), advanced in bounded epochs by the fleet's
- * thread pool.
+ * single tag (Simulator + harvester + Wisp, optionally an NV
+ * auditor), advanced in bounded epochs by the fleet's thread pool.
  *
  * Isolation contract: between `planEpoch` (sequential, at the epoch
  * barrier) and the barrier's completion, a world is touched by
@@ -12,11 +11,10 @@
  * peripherals are all instance state. The only shared object is the
  * fleet's thread-safe log sink.
  *
- * Worlds are pausable and movable: `saveTo`/`adoptFrom` round-trip
- * the entire simulation through the PR 5 snapshot format, which is
- * what the fleet's shard rebalancer uses to migrate a world — the
- * continuation is bit-identical, so migration never perturbs
- * results (the determinism suite pins this).
+ * A world lives at one address for the fleet's whole life. The
+ * shard rebalancer only changes which pool shard the world's task is
+ * queued on, so a migration moves no state and cannot perturb the
+ * world's trajectory (the determinism suite pins this).
  */
 
 #ifndef EDB_FLEET_WORLD_HH
@@ -26,14 +24,12 @@
 #include <memory>
 #include <vector>
 
-#include "edb/board.hh"
 #include "energy/harvester.hh"
 #include "fuzz/generator.hh"
 #include "mem/nv_audit.hh"
 #include "rfid/channel.hh"
 #include "sim/replay.hh"
 #include "sim/simulator.hh"
-#include "sim/snapshot.hh"
 #include "target/wisp.hh"
 
 namespace edb::fleet {
@@ -56,8 +52,6 @@ struct WorldConfig
     target::WispConfig wisp = {};
     /** Attach the WAR consistency auditor. */
     bool withAuditor = false;
-    /** Attach a (passive) EDB debugger board. */
-    bool withEdb = false;
     /** Forced brown-out schedule (auditor sweeps). */
     std::vector<fuzz::BrownOut> schedule;
     /** PC of the WAR gadget's completion label (0 = no watch).
@@ -66,8 +60,8 @@ struct WorldConfig
     mem::Addr warDoneWatch = 0;
 };
 
-/** Architectural end-state digest, schedule- and migration-
- *  invariant (raw event-queue ids are deliberately excluded). */
+/** Architectural end-state digest, schedule- and shard-invariant
+ *  (raw event-queue ids are deliberately excluded). */
 struct WorldDigest
 {
     std::uint32_t crc = 0;
@@ -83,7 +77,7 @@ class World
   public:
     World(const isa::Program &program, const WorldConfig &config);
 
-    /** Begin execution (not for worlds about to adopt a snapshot). */
+    /** Begin execution; call once. */
     void start();
 
     /**
@@ -104,15 +98,6 @@ class World
     /** Barrier feedback from the arbiter. */
     void noteOutcome(rfid::SlotOutcome outcome);
 
-    /// @name Migration (snapshot-based; see file header)
-    /// @{
-    void saveTo(sim::SnapshotWriter &w) const;
-    /** Adopt `other`'s full state; call on a fresh, un-started
-     *  world built from the same program and config.
-     *  @return false when the snapshot round-trip failed. */
-    bool adoptFrom(const World &other);
-    /// @}
-
     /** Architectural end-state digest. */
     WorldDigest digest() const;
 
@@ -124,7 +109,6 @@ class World
     const target::Wisp &wisp() const { return *wisp_; }
     mem::NvAuditor *auditor() { return aud.get(); }
     const mem::NvAuditor *auditor() const { return aud.get(); }
-    edbdbg::EdbBoard *edb() { return edb_.get(); }
     /// @}
 
     /// @name Fleet-visible statistics
@@ -146,11 +130,9 @@ class World
     energy::RfHarvester harvester;
     std::unique_ptr<target::Wisp> wisp_;
     std::unique_ptr<mem::NvAuditor> aud;
-    std::unique_ptr<edbdbg::EdbBoard> edb_;
     sim::ScheduleLog schedule;
     sim::SchedulePlayer player;
 
-    sim::Tick epochStart = 0;
     std::uint64_t instrsAtEpochStart = 0;
     bool backoff = false;
 

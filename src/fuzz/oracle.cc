@@ -42,15 +42,6 @@ sourceParams(std::uint64_t seed)
     return p;
 }
 
-mem::NvAuditConfig
-auditConfigFor(const target::Wisp &wisp)
-{
-    mem::NvAuditConfig cfg;
-    cfg.checkpointBase = wisp.config().mcu.checkpointBase;
-    cfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-    return cfg;
-}
-
 target::WispConfig
 worldConfig(const OracleCase &c, bool reference, bool checkpointing,
             bool crash_commit)
@@ -139,11 +130,9 @@ struct World
             wisp.mcu().setNvCommitHooks(hooks);
         }
         if (opt.withAuditor) {
-            aud = std::make_unique<mem::NvAuditor>(auditConfigFor(wisp),
+            aud = std::make_unique<mem::NvAuditor>(wisp.auditConfig(),
                                                    wisp.framRegion());
-            wisp.mcu().setAuditor(aud.get());
-            wisp.memoryMap().setWriteHook(&mem::NvAuditor::rawWriteHook,
-                                          aud.get());
+            wisp.attachAuditor(aud.get());
         }
         // Passive observer, attached to every leg for symmetry: a
         // loss while the gadget's record is open is exactly the

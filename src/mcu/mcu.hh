@@ -191,31 +191,17 @@ class Mcu : public sim::Component
     /** Peripheral/board reset hook called on each reboot. */
     void setResetHook(ResetHook hook) { resetHook = std::move(hook); }
 
-    /**
-     * Optional instruction tracer (tests, debugging). `owner` tags
-     * the installer so layered hooks (e.g. the debug server's world
-     * probes, which chain under a world's own tracer) can tell
-     * whether the installed hook is already theirs.
-     */
-    void
-    setTracer(Tracer t, const void *owner = nullptr)
-    {
-        tracer = std::move(t);
-        tracerOwner_ = owner;
-    }
-
-    /** Tag passed to the setTracer call that installed the current
-     *  hook (nullptr for untagged installs and fresh cores). */
-    const void *tracerOwner() const { return tracerOwner_; }
+    /** Optional instruction tracer (tests, debugging). */
+    void setTracer(Tracer t) { tracer = std::move(t); }
 
     /** The currently installed tracer (empty when none). */
     const Tracer &tracerHook() const { return tracer; }
 
     /**
      * Attach the NV consistency auditor (nullptr detaches). The core
-     * drives its register-taint machine and lifecycle hooks; the
-     * owner must also install `mem::NvAuditor::rawWriteHook` on the
-     * memory map so erasing writes are seen regardless of source.
+     * drives its register-taint machine and lifecycle hooks;
+     * `target::Wisp::attachAuditor` also installs the memory map's
+     * write hook so erasing writes are seen regardless of source.
      */
     void setAuditor(mem::NvAuditor *auditor) { audit_ = auditor; }
     mem::NvAuditor *auditor() const { return audit_; }
@@ -434,7 +420,6 @@ class Mcu : public sim::Component
 
     ResetHook resetHook;
     Tracer tracer;
-    const void *tracerOwner_ = nullptr;
 
     std::uint64_t cycles = 0;
     std::uint64_t instrs = 0;

@@ -30,6 +30,9 @@ namespace edb::mem {
 /** Target address. The EH32 address space is 64 KiB. */
 using Addr = std::uint32_t;
 
+/** Size of the EH32 address space: every valid address is below it. */
+constexpr std::uint64_t addrSpaceSize = 0x10000;
+
 /** Classification used by the MCU to cost accesses. */
 enum class RegionKind : std::uint8_t { Sram, Fram, Mmio };
 

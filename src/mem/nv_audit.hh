@@ -93,11 +93,10 @@ struct NvFinding
 std::string nvFindingText(const NvFinding &finding);
 
 /**
- * The auditor. Wiring is done by the owner (test, bench or
- * `edbdbg::EdbBoard::attachAuditor`): the MCU drives the taint
- * machine and lifecycle hooks via `Mcu::setAuditor`, and the memory
- * map reports every routed write through `rawWriteHook` +
- * `MemoryMap::setWriteHook`.
+ * The auditor. `target::Wisp::attachAuditor` wires it in: the MCU
+ * drives the taint machine and lifecycle hooks via `Mcu::setAuditor`,
+ * and the memory map reports every routed write through
+ * `rawWriteHook` + `MemoryMap::setWriteHook`.
  */
 class NvAuditor
 {

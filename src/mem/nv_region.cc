@@ -188,14 +188,13 @@ NvRegion::restoreState(sim::SnapshotReader &r)
     Ram::restoreState(r);
     if (!r.section("nvrg"))
         return;
-    const std::uint64_t words = r.u64();
-    if (words == wear_.size()) {
-        for (std::uint64_t &count : wear_)
-            count = r.u64();
-    } else {
-        for (std::uint64_t i = 0; i < words; ++i)
-            (void)r.u64();
+    if (r.u64() != wear_.size()) {
+        // Taken on a region with another NV technology table.
+        r.invalidate();
+        return;
     }
+    for (std::uint64_t &count : wear_)
+        count = r.u64();
     burstOpen_ = r.boolean();
     burstAddr_ = r.u32();
     burstWords_ = r.u32();

@@ -113,6 +113,27 @@ Wisp::start()
     power_.start();
 }
 
+mem::NvAuditConfig
+Wisp::auditConfig() const
+{
+    mem::NvAuditConfig audit;
+    audit.nvBase = fram.base();
+    audit.nvSize = fram.size();
+    audit.checkpointBase = cfg.mcu.checkpointBase;
+    audit.checkpointSpan = 2 * cfg.mcu.checkpointSlotSize;
+    return audit;
+}
+
+void
+Wisp::attachAuditor(mem::NvAuditor *auditor)
+{
+    core.setAuditor(auditor);
+    if (auditor)
+        map.setWriteHook(&mem::NvAuditor::rawWriteHook, auditor);
+    else
+        map.clearWriteHook();
+}
+
 void
 Wisp::saveState(sim::SnapshotWriter &w) const
 {

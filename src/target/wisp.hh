@@ -34,6 +34,7 @@
 #include "mcu/mmio_map.hh"
 #include "mcu/uart.hh"
 #include "mem/memory.hh"
+#include "mem/nv_audit.hh"
 #include "mem/nv_region.hh"
 #include "rfid/frontend.hh"
 #include "sensors/accelerometer.hh"
@@ -134,6 +135,16 @@ class Wisp : public sim::Component
     double voltage() { return power_.voltage(); }
 
     const WispConfig &config() const { return cfg; }
+
+    /// @name NV consistency auditor (mem/nv_audit.hh)
+    /// @{
+    /** What an auditor of this device watches: all of FRAM minus
+     *  the two checkpoint slots. */
+    mem::NvAuditConfig auditConfig() const;
+    /** Wire `auditor` into the core and the memory map's write hook
+     *  (nullptr detaches both). The auditor is caller-owned. */
+    void attachAuditor(mem::NvAuditor *auditor);
+    /// @}
 
     /// @name Snapshot support (see sim/snapshot.hh)
     /// Captures the event clock, the shared RNG and every subsystem.

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -117,6 +119,10 @@ TEST(VBreakCondition, RejectsMalformedExpressions)
         "r0 = 1",      // assignment is not comparison
         "r0==1 &&",    // dangling conjunction
         "r0==1 extra", // trailing junk
+        "nv[nan]==0",  // index is not an address...
+        "nv[-4]==0",
+        "sram[1.5]==0",
+        "nv[1e20]==0", // ...nor is one past 32 bits
     };
     for (const char *text : bad) {
         std::string why;
@@ -228,7 +234,7 @@ TEST(WorldProbe, ChainsUnderAndRestoresWorldOwnedTracer)
     EXPECT_EQ(probe.evals(), 1u); // exactly once — not chained twice
     EXPECT_EQ(probe.drainHits().size(), 1u);
 
-    probe.uninstall(wisp);
+    probe.uninstall();
     ASSERT_TRUE(static_cast<bool>(wisp.mcu().tracerHook()));
     wisp.mcu().tracerHook()(0x9000, nop);
     EXPECT_EQ(worldHookCalls, 2); // restored, not cleared
@@ -342,6 +348,34 @@ TEST(JsonValue, DepthCapRejectsAdversarialNesting)
     EXPECT_EQ(obj->getUint("id").value_or(0), 7u);
     EXPECT_EQ(obj->getUint("addr").value_or(0), 0x4000u);
     EXPECT_EQ(obj->getStr("m").value_or(""), "read");
+}
+
+TEST(JsonValue, NumbersFollowTheJsonGrammar)
+{
+    for (const char *bad : {"-nan", "+nan", "nan", "inf", "-inf", "+1",
+                            "0x2", "01", "-", "1.", ".5", "1e", "1e+"})
+        EXPECT_FALSE(JsonValue::parse(bad).has_value()) << bad;
+    for (const char *good : {"0", "-0", "7", "-12", "1.5", "1e3", "2E+2",
+                             "1.25e-3"})
+        EXPECT_TRUE(JsonValue::parse(good).has_value()) << good;
+}
+
+TEST(JsonValue, GetUintTakesOnlyUnsignedIntegers)
+{
+    auto uintOf = [](const std::string &member) {
+        auto v = JsonValue::parse("{\"a\":" + member + "}");
+        EXPECT_TRUE(v.has_value()) << member;
+        return v ? v->getUint("a") : std::nullopt;
+    };
+    EXPECT_EQ(uintOf("42"), 42u);
+    EXPECT_EQ(uintOf("\"42\""), 42u);
+    EXPECT_EQ(uintOf("\"0x4000\""), 0x4000u);
+    EXPECT_EQ(uintOf("\"18446744073709551615\""), UINT64_MAX);
+    for (const char *bad :
+         {"1.5", "-1", "1e300", "\"\"", "\"0x\"", "\" 7\"", "\"7 \"",
+          "\"+7\"", "\"-7\"", "\"-0x7\"", "\"07\"", "\"0x-7\"",
+          "\"18446744073709551616\"", "\"1.5\"", "true", "[1]"})
+        EXPECT_FALSE(uintOf(bad).has_value()) << bad;
 }
 
 // ---------------------------------------------------------------------
@@ -539,6 +573,14 @@ TEST(DebugServer, BreakpointQuotaCondAndOwnership)
     auto rs = awaitId(bob, steal);
     ASSERT_TRUE(rs.has_value());
     EXPECT_TRUE(isErr(*rs, "bk"));
+
+    // Nor can Alice reach it through an id that truncates to it.
+    std::uint64_t alias = alice.request(
+        "\"m\":\"clearbreak\",\"bk\":" +
+        std::to_string(b2Id + (std::uint64_t{1} << 32)));
+    auto ra = awaitId(alice, alias);
+    ASSERT_TRUE(ra.has_value());
+    EXPECT_TRUE(isErr(*ra, "bk"));
 }
 
 TEST(DebugServer, ReadOnlySessionsCannotWrite)
@@ -578,6 +620,107 @@ TEST(DebugServer, ReadOnlySessionsCannotWrite)
     ASSERT_TRUE(ov.has_value());
     EXPECT_TRUE(isErr(*ov, "range"));
     EXPECT_EQ(server.stats().oversizeReplies, 0u);
+}
+
+TEST(DebugServer, NonIntegerIdsAreMalformed)
+{
+    fleet::Fleet fleet(tinyFleet());
+    DebugServer server(fleet);
+    edbdbg::ClientWire *wire = server.connect("ids");
+    ASSERT_NE(wire, nullptr);
+    const char *ids[] = {"-nan", "+nan", "inf", "0x2", "1.5", "01"};
+    for (const char *id : ids) {
+        std::string req =
+            std::string("{\"id\":") + id + ",\"m\":\"ping\"}";
+        ASSERT_TRUE(wire->toServer(edbdbg::buildFrame(
+            std::vector<std::uint8_t>(req.begin(), req.end()))));
+    }
+    server.runEpoch();
+    EXPECT_EQ(server.stats().framesIn, std::size(ids));
+    EXPECT_EQ(server.stats().malformedJson, std::size(ids));
+    EXPECT_EQ(server.stats().commandsServed, 0u);
+}
+
+TEST(DebugServer, AddressesOutsideTheAddressSpaceAreRejected)
+{
+    fleet::Fleet fleet(tinyFleet());
+    DebugServer server(fleet);
+    RpcClient rpc(server, "alias");
+    std::uint64_t a = rpc.request("\"m\":\"attach\",\"world\":0");
+    ASSERT_TRUE(awaitId(rpc, a).has_value());
+
+    // Each of these once aliased SRAM at 0x400: through truncation to
+    // 32 bits, or through strtoull's sign and space handling.
+    for (const char *addr : {"\"0x100000400\"", "4294968320",
+                             "\"-0xFFFFFC00\"", "\" 0x400\""}) {
+        std::uint64_t rd =
+            rpc.request(std::string("\"m\":\"read\",\"addr\":") + addr);
+        auto r = awaitId(rpc, rd);
+        ASSERT_TRUE(r.has_value()) << addr;
+        EXPECT_TRUE(isErr(*r, "range")) << addr;
+    }
+    std::uint64_t bk = rpc.request(
+        "\"m\":\"setbreak\",\"addr\":\"0x100004000\"");
+    auto rb = awaitId(rpc, bk);
+    ASSERT_TRUE(rb.has_value());
+    EXPECT_TRUE(isErr(*rb, "addr"));
+
+    std::uint64_t rd = rpc.request("\"m\":\"read\",\"addr\":\"0x400\"");
+    auto r = awaitId(rpc, rd);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(r->get("ok")->boolean(false));
+}
+
+TEST(DebugServer, BreakpointHitsSurviveRebalancing)
+{
+    // A probe is installed once, at setbreak. Rebalancing every epoch
+    // on two shards re-homes the worlds under their probes, so each
+    // client sees exactly the hits of the inline fleet, where no
+    // world ever changes shard.
+    auto hitLog = [](unsigned threads, std::uint64_t &migrations) {
+        fleet::FleetConfig fcfg = tinyFleet(4);
+        fcfg.threads = threads;
+        fcfg.rebalancePeriod = 1;
+        fleet::Fleet fleet(fcfg);
+        ServerConfig scfg;
+        // Room for every hit an epoch can buffer: nothing is shed.
+        scfg.maxQueuedBytes = 1 << 16;
+        scfg.maxPendingCmds = 128;
+        DebugServer server(fleet, scfg);
+        server.setSymbols(
+            isa::SymbolTable::fromProgram(fleet.worldProgram(0)));
+        std::vector<std::unique_ptr<RpcClient>> clients;
+        for (std::size_t w = 0; w < fleet.size(); ++w) {
+            clients.push_back(std::make_unique<RpcClient>(
+                server, "c" + std::to_string(w)));
+            clients[w]->request("\"m\":\"attach\",\"world\":" +
+                                std::to_string(w));
+            clients[w]->request("\"m\":\"setbreak\",\"sym\":\"work\"");
+        }
+        std::vector<std::string> log;
+        for (unsigned e = 0; e < 24; ++e) {
+            for (std::size_t c = 0; c < clients.size(); ++c) {
+                clients[c]->pump();
+                for (const JsonValue &ev : clients[c]->takeEvents())
+                    log.push_back(
+                        std::to_string(c) + ":" +
+                        std::to_string(ev.getUint("bk").value_or(0)) +
+                        "@" + std::to_string(ev.getUint("t").value_or(0)) +
+                        "#" + std::to_string(ev.getUint("i").value_or(0)));
+            }
+            server.runEpoch();
+        }
+        EXPECT_EQ(server.stats().hitsDropped, 0u);
+        migrations = fleet.migrations();
+        return log;
+    };
+    std::uint64_t inlineMoves = 0, shardedMoves = 0;
+    const std::vector<std::string> inlineHits = hitLog(0, inlineMoves);
+    const std::vector<std::string> shardedHits = hitLog(2, shardedMoves);
+    EXPECT_EQ(inlineMoves, 0u);
+    EXPECT_GT(shardedMoves, 0u);
+    ASSERT_FALSE(inlineHits.empty());
+    EXPECT_EQ(shardedHits, inlineHits);
 }
 
 TEST(DebugServer, SymbolsPaginateAndLookupRoundTrips)

@@ -15,6 +15,7 @@
 #include "energy/power_system.hh"
 #include "energy/supply.hh"
 #include "sim/simulator.hh"
+#include "sim/snapshot.hh"
 
 using namespace edb;
 using namespace edb::energy;
@@ -322,6 +323,40 @@ TEST(PowerSystem, AdvanceToIsIdempotent)
 /** The interpreter's per-instruction drainStep entry must be exactly
  *  the single-sub-step advanceTo, RNG draws included: same noise
  *  sequence, bit-identical trajectory. */
+TEST(PowerSystem, SnapshotWiringMismatchIsRejected)
+{
+    // A snapshot of a power system wired with other loads or sources
+    // must fail the restore, not skip past the mismatch.
+    sim::Simulator simulator(1);
+    TheveninHarvester h(3.0, 1000.0);
+    PowerSystem saved(simulator, "saved", quietConfig(), &h);
+    saved.addLoad("mcu", 0.5e-3, true);
+    sim::SnapshotWriter w;
+    saved.saveState(w);
+    const std::vector<std::uint8_t> image = w.finish();
+
+    auto restores = [&image, &simulator](PowerSystem &power) {
+        sim::SnapshotReader r;
+        EXPECT_TRUE(r.load(image));
+        sim::EventRearmer rearmer(simulator);
+        power.restoreState(r, rearmer);
+        return r.ok();
+    };
+    PowerSystem same(simulator, "same", quietConfig(), &h);
+    same.addLoad("mcu");
+    EXPECT_TRUE(restores(same));
+
+    PowerSystem extraLoad(simulator, "extra-load", quietConfig(), &h);
+    extraLoad.addLoad("mcu");
+    extraLoad.addLoad("led");
+    EXPECT_FALSE(restores(extraLoad));
+
+    PowerSystem extraSource(simulator, "extra-source", quietConfig(), &h);
+    extraSource.addLoad("mcu");
+    extraSource.addSource("tether", [](double, double) { return 0.0; });
+    EXPECT_FALSE(restores(extraSource));
+}
+
 TEST(PowerSystem, DrainStepMatchesAdvanceToBitExactly)
 {
     PowerSystemConfig config; // default: harvest noise enabled

@@ -176,6 +176,38 @@ TEST(NvRegion, SnapshotRoundTripsBurstInFlight)
     EXPECT_EQ(copy.tornWrites(), 2u);
 }
 
+TEST(NvRegion, SnapshotFromOtherTechnologyIsRejected)
+{
+    // An active region keeps a per-word wear table, a passive one
+    // keeps none: the tables cannot line up, so the restore fails.
+    mem::NvRegion active = makeRegion(mem::flashTech());
+    active.write32(base + 0x20, 0xCAFED00Du);
+    sim::SnapshotWriter w;
+    active.saveState(w);
+
+    mem::NvRegion passive = makeRegion(mem::NvTechConfig{});
+    sim::SnapshotReader r;
+    ASSERT_TRUE(r.load(w.finish()));
+    passive.restoreState(r);
+    EXPECT_FALSE(r.ok());
+}
+
+TEST(NvRegion, SnapshotHugeWearCountFailsFast)
+{
+    // A crafted wear-table count must be rejected at once, not
+    // skipped word by word (2^63 reads would never finish).
+    mem::NvRegion nv = makeRegion(mem::flashTech());
+    sim::SnapshotWriter w;
+    nv.mem::Ram::saveState(w);
+    w.section("nvrg");
+    w.u64(std::uint64_t{1} << 63);
+
+    sim::SnapshotReader r;
+    ASSERT_TRUE(r.load(w.finish()));
+    nv.restoreState(r);
+    EXPECT_FALSE(r.ok());
+}
+
 TEST(NvRegion, WispAppliesTechnologyTable)
 {
     target::WispConfig config;

@@ -16,11 +16,8 @@
 
 #include "apps/activity.hh"
 #include "apps/linked_list.hh"
-#include "edb/board.hh"
 #include "energy/harvester.hh"
 #include "isa/assembler.hh"
-#include "runtime/libedb.hh"
-#include "sim/fault.hh"
 #include "mcu/mmio_map.hh"
 #include "rfid/channel.hh"
 #include "sim/snapshot.hh"
@@ -562,147 +559,6 @@ TEST(SnapshotPeripheral, MidTransactionUnderRealProgram)
     EXPECT_TRUE(wisp2.i2c().busy());
     sim2.runUntil(endAt);
     expectSameDigest(digestOf(sim2, wisp2), ref);
-}
-
-// ---------------------------------------------------------------------
-// EDB board: supervision state travels with the world
-
-namespace {
-
-/** Target + EDB with tweaked (non-default) supervision budgets. */
-struct BoardRig
-{
-    sim::Simulator sim{55};
-    energy::TheveninHarvester supply{3.0, 200.0};
-    target::Wisp wisp;
-    edbdbg::EdbBoard board;
-
-    explicit BoardRig(const edbdbg::EdbConfig &cfg)
-        : wisp(sim, "wisp", &supply, nullptr),
-          board(sim, "edb", wisp, nullptr, cfg)
-    {
-        wisp.flash(isa::assemble(runtime::programHeader() + R"(
-main:
-    la   r0, 0x5000
-    la   r1, 0xCAFE
-    stw  r1, [r0]
-    li   r1, 7
-    call edb_assert_fail
-    halt
-)" + runtime::libedbSource()));
-        wisp.start();
-    }
-};
-
-edbdbg::EdbConfig
-tweakedConfig()
-{
-    edbdbg::EdbConfig cfg;
-    cfg.readRetryMax = 7; // non-default: must survive the round trip
-    cfg.linkProbeMax = 3;
-    cfg.linkProbeTimeout = 15 * sim::oneMs;
-    return cfg;
-}
-
-void
-saveBoardWorld(const BoardRig &rig, sim::SnapshotWriter &w)
-{
-    rig.wisp.saveState(w);
-    rig.board.saveState(w);
-}
-
-bool
-restoreBoardWorld(const std::vector<std::uint8_t> &image,
-                  BoardRig &rig)
-{
-    sim::SnapshotReader r;
-    if (!r.load(image))
-        return false;
-    sim::EventRearmer rearmer(rig.sim);
-    rig.wisp.restoreState(r, rearmer);
-    rig.board.restoreState(r, rearmer);
-    if (!r.ok())
-        return false;
-    rearmer.flush();
-    return true;
-}
-
-} // namespace
-
-TEST(SnapshotEdbBoard, SupervisionCountersSurviveRoundTrip)
-{
-    BoardRig a(tweakedConfig());
-    ASSERT_TRUE(a.board.waitForSession(sim::oneSec));
-    ASSERT_EQ(a.board.session()->read32(0x5000).value_or(0),
-              0xCAFEu);
-    // Exercise the retry machinery so the counters are non-trivial:
-    // a dead link burns the whole (tweaked) retry budget.
-    sim::FaultPlan dead;
-    dead.uartDropProb = 1.0;
-    sim::FaultInjector inj(a.sim, "inj", dead);
-    a.board.injectFaults(&inj);
-    EXPECT_FALSE(
-        a.board.session()->read32(0x5000, 100 * sim::oneMs)
-            .has_value());
-    a.board.injectFaults(nullptr);
-    ASSERT_GE(a.board.linkStats().readRetries, 1u);
-
-    sim::SnapshotWriter w;
-    saveBoardWorld(a, w);
-    std::vector<std::uint8_t> image = w.finish();
-
-    // Fresh rig, same config, never started a session of its own.
-    BoardRig b(tweakedConfig());
-    ASSERT_TRUE(restoreBoardWorld(image, b));
-
-    // Mid-episode restores must not silently reset supervision
-    // state: every link-health counter travels.
-    const edbdbg::LinkStats &sa = a.board.linkStats();
-    const edbdbg::LinkStats &sb = b.board.linkStats();
-    EXPECT_EQ(sb.probes, sa.probes);
-    EXPECT_EQ(sb.ackRetransmits, sa.ackRetransmits);
-    EXPECT_EQ(sb.readRetries, sa.readRetries);
-    EXPECT_EQ(sb.writeRetries, sa.writeRetries);
-    EXPECT_EQ(sb.resumeRetries, sa.resumeRetries);
-    EXPECT_EQ(sb.degradedEpisodes, sa.degradedEpisodes);
-    EXPECT_EQ(sb.abortedEpisodes, sa.abortedEpisodes);
-    EXPECT_EQ(b.board.lastAbortReason(), a.board.lastAbortReason());
-    EXPECT_EQ(b.board.lastSavedVolts(), a.board.lastSavedVolts());
-    EXPECT_EQ(b.board.lastRestoredVolts(),
-              a.board.lastRestoredVolts());
-    EXPECT_EQ(b.board.protocolEngine().stats().framesOk,
-              a.board.protocolEngine().stats().framesOk);
-    EXPECT_EQ(b.board.protocolEngine().stats().crcErrors,
-              a.board.protocolEngine().stats().crcErrors);
-
-    // The restored board is alive, not wedged: its watchdog notices
-    // the in-flight session did not travel and recovers the episode
-    // (bounded), rather than hanging forever.
-    b.board.pumpFor(500 * sim::oneMs);
-    EXPECT_GE(b.board.linkStats().abortedEpisodes +
-                  b.board.linkStats().degradedEpisodes,
-              sa.abortedEpisodes + sa.degradedEpisodes);
-}
-
-TEST(SnapshotEdbBoard, SupervisionConfigMismatchIsRejected)
-{
-    BoardRig a(tweakedConfig());
-    ASSERT_TRUE(a.board.waitForSession(sim::oneSec));
-    sim::SnapshotWriter w;
-    saveBoardWorld(a, w);
-    std::vector<std::uint8_t> image = w.finish();
-
-    // A different retry budget is a different supervision contract:
-    // restoring onto it must fail loudly, not adopt the old counters
-    // under new rules.
-    edbdbg::EdbConfig other = tweakedConfig();
-    other.readRetryMax = 2;
-    BoardRig b(other);
-    EXPECT_FALSE(restoreBoardWorld(image, b));
-
-    // Same config restores fine.
-    BoardRig c(tweakedConfig());
-    EXPECT_TRUE(restoreBoardWorld(image, c));
 }
 
 } // namespace
