@@ -21,8 +21,8 @@
  *     activity-recognition app and the README quickstart guest must
  *     all analyze clean.
  *
- * Prints one JSON summary as its last line; tools/check_etap.py
- * gates on it in CI.
+ * Prints one JSON summary as its last line and exits nonzero unless
+ * its `ok` holds.
  *
  * Usage: etap_validate [--cases N] [--seed S]
  */
@@ -190,7 +190,7 @@ loop:
     bool ok = soundnessViolations == 0 && starveFp == 0 &&
               starveFn == 0 && otherFailures == 0 && fig9Starves &&
               fibReleaseClean && activityClean && quickstartClean &&
-              conclusive > 0;
+              conclusive > 0 && windowsTotal > 0;
 
     bench::Json summary;
     summary.field("bench", std::string("etap_validate"))

@@ -82,8 +82,8 @@ drawPlan(std::uint64_t index, sim::Tick horizon)
         }
     }
     if (meta.chance(0.3))
-        plan.brownOutAtTick.push_back(
-            meta.uniformInt(100 * sim::oneMs, horizon));
+        plan.brownOuts.push_back(
+            {meta.uniformInt(100 * sim::oneMs, horizon), 0.5});
     return plan;
 }
 
@@ -100,9 +100,8 @@ runPlan(std::uint64_t index, const target::WispConfig &wisp_config)
                       wisp_config);
     edbdbg::EdbBoard board(simulator, "edb", wisp);
     board.injectFaults(&inj);
-    inj.armBrownOuts([&wisp] {
-        wisp.power().capacitor().setVoltage(0.5);
-    });
+    wisp.attachFaults(&inj);
+    inj.armBrownOuts(0);
 
     apps::LinkedListOptions options;
     options.withAssert = true;

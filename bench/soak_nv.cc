@@ -38,7 +38,6 @@
 #include "mem/nv_audit.hh"
 #include "mem/nv_region.hh"
 #include "sim/fault.hh"
-#include "sim/replay.hh"
 #include "sim/simulator.hh"
 #include "target/wisp.hh"
 
@@ -47,7 +46,6 @@ using namespace edb;
 namespace {
 
 constexpr sim::Tick quantum = sim::oneMs;
-constexpr std::uint32_t opBrownOut = 1;
 
 struct CellStats
 {
@@ -104,7 +102,6 @@ runEpisode(mcu::CommitDiscipline discipline,
     target::Wisp wisp(simulator, "wisp", &src, nullptr, config);
 
     sim::FaultPlan plan;
-    plan.enabled = true;
     plan.seed = seed ^ 0x6E767470ULL; // "nvtp"
     {
         sim::Rng rng(plan.seed);
@@ -112,29 +109,14 @@ runEpisode(mcu::CommitDiscipline discipline,
             static_cast<std::uint64_t>(rng.uniformInt(1, 120));
         plan.nvTornCorruptProb = 0.5;
     }
+    plan.brownOuts = c.schedule;
     sim::FaultInjector fault(simulator, "fault", plan);
-    fault.armBrownOuts([&wisp] {
-        wisp.power().capacitor().setVoltage(0.5);
-    });
-    mcu::Mcu::NvCommitHooks hooks;
-    hooks.onCommitWord = [&fault] { fault.onNvCommitWord(); };
-    hooks.onTornWord = [&fault](std::uint32_t &word) {
-        return fault.onTornWord(word);
-    };
-    wisp.mcu().setNvCommitHooks(hooks);
+    wisp.attachFaults(&fault);
 
     mem::NvAuditor aud(wisp.auditConfig(), wisp.framRegion());
     wisp.attachAuditor(&aud);
 
-    sim::ScheduleLog log;
-    for (const fuzz::BrownOut &b : c.schedule)
-        log.record(b.at, opBrownOut, b.volts);
-    sim::SchedulePlayer player(simulator);
-    player.arm(log, 0, [&wisp](const sim::ScheduleEntry &e) {
-        if (e.op == opBrownOut)
-            wisp.power().capacitor().setVoltage(e.arg);
-    });
-
+    fault.armBrownOuts(0);
     wisp.flash(isa::assemble(c.program));
     wisp.start();
     while (simulator.now() < c.horizon)

@@ -5,18 +5,18 @@
  * Runs the paper's buggy linked-list firmware on harvested power
  * under randomized forced-brown-out schedules, with the NV
  * consistency auditor attached and a forward-progress watchdog
- * armed. Every environment action is recorded in a `ScheduleLog`,
- * and the full world (target + auditor + watchdog) is snapshotted
- * every 100 ms.
+ * armed. The forced brown-outs are drawn up front into the world's
+ * `FaultPlan`, and the full world (target + auditor + watchdog) is
+ * snapshotted every 100 ms.
  *
  * When an episode hits an event — a write-after-read violation from
  * the auditor, or the watchdog tripping on reboots without a
  * checkpoint commit — the supervisor rewinds to the last snapshot,
- * re-arms the recorded schedule suffix, and replays. The event must
- * recur at the identical tick with identical attribution, twice:
- * that is the deterministic minimal repro the recovery flow promises
- * (rewind window bounded by the snapshot cadence). Any mismatch is a
- * recovery failure and fails the soak.
+ * re-arms the brown-outs past the snapshot tick, and replays. The
+ * event must recur at the identical tick with identical attribution,
+ * twice: that is the deterministic minimal repro the recovery flow
+ * promises (rewind window bounded by the snapshot cadence). Any
+ * mismatch is a recovery failure and fails the soak.
  *
  * Usage: soak_recovery [--episodes N]   (default 100)
  */
@@ -28,7 +28,8 @@
 #include "bench/common.hh"
 #include "energy/harvester.hh"
 #include "mem/nv_audit.hh"
-#include "sim/replay.hh"
+#include "sim/fault.hh"
+#include "sim/progress.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
 #include "target/wisp.hh"
@@ -39,9 +40,6 @@ namespace {
 
 constexpr sim::Tick quantum = sim::oneMs;
 constexpr sim::Tick snapPeriod = 100 * sim::oneMs;
-
-/** Environment opcodes recorded in the schedule log. */
-constexpr std::uint32_t opBrownOut = 1;
 
 /** What a detection pass can end with. */
 struct Event
@@ -64,32 +62,27 @@ sameEvent(const Event &a, const Event &b)
            a.reboots == b.reboots;
 }
 
-/** One episode's world: target + auditor + schedule player. */
+/** One episode's world: target + auditor + forced brown-outs. */
 struct World
 {
     sim::Simulator sim;
     energy::RfHarvester rf{30.0, 1.0};
     target::Wisp wisp;
     mem::NvAuditor aud;
-    sim::SchedulePlayer player;
+    sim::FaultInjector faults;
 
-    explicit World(std::uint64_t seed, bool with_auditor,
-                   const target::WispConfig &config)
+    World(std::uint64_t seed, bool with_auditor,
+          const target::WispConfig &config, sim::FaultPlan plan)
         : sim(seed), wisp(sim, "wisp", &rf, nullptr, config),
-          aud(wisp.auditConfig(), wisp.framRegion()), player(sim)
+          aud(wisp.auditConfig(), wisp.framRegion()),
+          faults(sim, "faults", std::move(plan))
     {
         // The auditor object always exists (it is part of the
         // snapshot layout) but is only wired into the core when the
         // episode actually audits.
         if (with_auditor)
             wisp.attachAuditor(&aud);
-    }
-
-    void
-    apply(const sim::ScheduleEntry &e)
-    {
-        if (e.op == opBrownOut)
-            wisp.power().capacitor().setVoltage(e.arg);
+        wisp.attachFaults(&faults);
     }
 };
 
@@ -105,8 +98,7 @@ snapshotWorld(const World &w, const sim::ProgressMonitor &mon)
 
 bool
 rewindWorld(World &w, sim::ProgressMonitor &mon,
-            const std::vector<std::uint8_t> &image,
-            const sim::ScheduleLog &log, sim::Tick snap_tick)
+            const std::vector<std::uint8_t> &image, sim::Tick snap_tick)
 {
     sim::SnapshotReader r;
     if (!r.load(image))
@@ -118,10 +110,9 @@ rewindWorld(World &w, sim::ProgressMonitor &mon,
     if (!r.ok())
         return false;
     rearmer.flush();
-    // Entries at or before the snapshot tick are already reflected in
-    // the restored state; re-arm only the suffix.
-    w.player.arm(log, snap_tick,
-                 [&w](const sim::ScheduleEntry &e) { w.apply(e); });
+    // Brown-outs at or before the snapshot tick are already reflected
+    // in the restored state; re-arm only the later ones.
+    w.faults.armBrownOuts(snap_tick);
     return true;
 }
 
@@ -186,23 +177,27 @@ runEpisode(std::uint64_t index, const target::WispConfig &config)
     // app never commits, so a handful of reboots trips the watchdog).
     const bool stallMode = (index % 2) == 1;
     const sim::Tick horizon = 4 * sim::oneSec;
-    World w(5000 + index, !stallMode, config);
+
+    // Randomized environment, re-armed after every rewind: forced
+    // brown-outs multiply the power-loss windows the linked-list bug
+    // needs.
+    sim::FaultPlan plan;
+    sim::Rng meta(7000 + index);
+    auto count = meta.uniformInt(8, 20);
+    for (decltype(count) i = 0; i < count; ++i) {
+        // Volts are drawn before the tick: the draw order fixes each
+        // episode's schedule for its seed.
+        sim::BrownOut b;
+        b.volts = meta.uniform(0.8, 1.7);
+        b.at = meta.uniformInt(100 * sim::oneMs, horizon);
+        plan.brownOuts.push_back(b);
+    }
+
+    World w(5000 + index, !stallMode, config, std::move(plan));
     w.wisp.flash(apps::buildLinkedListApp());
     w.wisp.start();
     sim::ProgressMonitor mon(stallMode ? 5 : (1u << 20));
-
-    // Randomized environment, recorded for replay: forced brown-outs
-    // multiply the power-loss windows the linked-list bug needs.
-    sim::ScheduleLog log;
-    sim::Rng meta(7000 + index);
-    auto count = meta.uniformInt(8, 20);
-    for (decltype(count) i = 0; i < count; ++i)
-        log.record(
-            static_cast<sim::Tick>(
-                meta.uniformInt(100 * sim::oneMs, horizon)),
-            opBrownOut, meta.uniform(0.8, 1.7));
-    w.player.arm(log, 0,
-                 [&w](const sim::ScheduleEntry &e) { w.apply(e); });
+    w.faults.armBrownOuts(0);
 
     std::vector<std::uint8_t> snapImg = snapshotWorld(w, mon);
     sim::Tick snapTick = 0;
@@ -222,10 +217,10 @@ runEpisode(std::uint64_t index, const target::WispConfig &config)
     res.snapTick = snapTick;
 
     // Bounded recovery: rewind to the last snapshot and replay the
-    // recorded schedule; the event must recur identically, twice.
+    // brown-out schedule; the event must recur identically, twice.
     res.reproduced = true;
     for (int attempt = 0; attempt < 2; ++attempt) {
-        if (!rewindWorld(w, mon, snapImg, log, snapTick)) {
+        if (!rewindWorld(w, mon, snapImg, snapTick)) {
             res.reproduced = false;
             res.recoveryFailed = true;
             break;

@@ -1,6 +1,7 @@
 #include "edb/server.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -127,6 +128,9 @@ class JsonParser
             char c = s[pos++];
             if (c == '"')
                 return out;
+            // RFC 8259 §7: control characters must be escaped.
+            if (static_cast<unsigned char>(c) < 0x20)
+                return std::nullopt;
             if (c != '\\') {
                 out.push_back(c);
                 continue;
@@ -144,10 +148,13 @@ class JsonParser
               case 'r': out.push_back('\r'); break;
               case 't': out.push_back('\t'); break;
               case 'u':
-                // Enough for symbol names and hex addresses: skip
+                // Enough for symbol names and hex addresses: require
                 // the four hex digits, substitute '?'.
                 if (pos + 4 > s.size())
                     return std::nullopt;
+                for (std::size_t i = pos; i < pos + 4; ++i)
+                    if (!std::isxdigit(static_cast<unsigned char>(s[i])))
+                        return std::nullopt;
                 pos += 4;
                 out.push_back('?');
                 break;

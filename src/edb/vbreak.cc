@@ -1,8 +1,8 @@
 #include "edb/vbreak.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 
 #include "energy/power_system.hh"
 #include "isa/isa.hh"
@@ -290,20 +290,43 @@ class Parser
         return n;
     }
 
+    /**
+     * A literal: an unsigned decimal or `0x` hex integer below 2^64,
+     * or a plain decimal fraction (`1.8`) for volts. No sign, no
+     * exponent, no inf or nan.
+     */
     bool
     parseNumber(double &out)
     {
         skipWs();
-        const char *start = s.c_str() + pos;
-        char *end = nullptr;
-        // strtod accepts 0x-hex, decimals and floats alike.
-        double v = std::strtod(start, &end);
-        if (end == start) {
+        const char *first = s.data() + pos;
+        const char *last = s.data() + s.size();
+        const bool hex = last - first > 2 && first[0] == '0' &&
+                         (first[1] == 'x' || first[1] == 'X');
+        std::uint64_t whole = 0;
+        auto [end, ec] = std::from_chars(first + (hex ? 2 : 0), last,
+                                         whole, hex ? 16 : 10);
+        if (ec == std::errc::invalid_argument) {
             fail("expected a number");
             return false;
         }
-        pos += static_cast<std::size_t>(end - start);
-        out = v;
+        if (ec == std::errc::result_out_of_range) {
+            fail("number out of range");
+            return false;
+        }
+        out = static_cast<double>(whole);
+        if (!hex && end != last && *end == '.') {
+            const char *frac = end + 1;
+            end = frac;
+            while (end != last && *end >= '0' && *end <= '9')
+                ++end;
+            if (end == frac) {
+                fail("expected digits after '.'");
+                return false;
+            }
+            std::from_chars(first, end, out);
+        }
+        pos = static_cast<std::size_t>(end - s.data());
         return true;
     }
 
@@ -321,9 +344,9 @@ class Parser
             fail("expected ']'");
             return false;
         }
-        // A negative, fractional, non-finite or wider-than-32-bit
-        // index is no address, and casting it would be undefined.
-        if (!(addr >= 0.0 && addr < 0x1p32) || addr != std::floor(addr)) {
+        // A fractional or wider-than-32-bit index is no address, and
+        // casting it would be undefined.
+        if (addr >= 0x1p32 || addr != std::floor(addr)) {
             fail("address out of range");
             return false;
         }
@@ -363,7 +386,10 @@ class Parser
             while (pos < s.size() &&
                    std::isdigit(
                        static_cast<unsigned char>(s[pos]))) {
-                n = n * 10 + static_cast<unsigned>(s[pos] - '0');
+                // Stop accumulating once out of range, so a long
+                // index cannot wrap back onto a valid register.
+                if (n < isa::numRegs)
+                    n = n * 10 + static_cast<unsigned>(s[pos] - '0');
                 ++pos;
             }
             if (n >= isa::numRegs) {

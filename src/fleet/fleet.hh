@@ -63,7 +63,7 @@ struct WorldFirmware
     std::string listing;
     /** Forced brown-out schedule (auditor sweeps; usually empty —
      *  fleet worlds brown out naturally from the RF model). */
-    std::vector<fuzz::BrownOut> schedule;
+    std::vector<sim::BrownOut> schedule;
     /** Hardware checkpoint unit enable. */
     bool checkpointing = true;
     /** Storage capacitor override (0 = keep the fleet default). */

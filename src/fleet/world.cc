@@ -7,9 +7,6 @@ namespace edb::fleet {
 
 namespace {
 
-/** ScheduleLog opcode: force the capacitor to `arg` volts. */
-constexpr std::uint32_t opBrownOut = 1;
-
 /** Fleet worlds always boot on start when pre-charged: a tag given
  *  initial volts above turn-on must execute from tick zero. */
 target::WispConfig
@@ -26,8 +23,7 @@ World::World(const isa::Program &program, const WorldConfig &config)
       harvester(config.txPowerDbm, config.distanceM),
       wisp_(std::make_unique<target::Wisp>(sim, "wisp", &harvester,
                                            nullptr,
-                                           bootableWisp(config.wisp))),
-      player(sim)
+                                           bootableWisp(config.wisp)))
 {
     wisp_->flash(program);
     if (cfg.withAuditor) {
@@ -35,8 +31,13 @@ World::World(const isa::Program &program, const WorldConfig &config)
                                                wisp_->framRegion());
         wisp_->attachAuditor(aud.get());
     }
-    for (const fuzz::BrownOut &b : cfg.schedule)
-        schedule.record(b.at, opBrownOut, b.volts);
+    if (!cfg.schedule.empty()) {
+        sim::FaultPlan plan;
+        plan.brownOuts = cfg.schedule;
+        faults = std::make_unique<sim::FaultInjector>(sim, "faults",
+                                                      std::move(plan));
+        wisp_->attachFaults(faults.get());
+    }
     installHooks();
 }
 
@@ -67,11 +68,8 @@ void
 World::start()
 {
     wisp_->start();
-    if (!schedule.entries().empty())
-        player.arm(schedule, 0, [this](const sim::ScheduleEntry &e) {
-            if (e.op == opBrownOut)
-                wisp_->power().capacitor().setVoltage(e.arg);
-        });
+    if (faults)
+        faults->armBrownOuts(0);
 }
 
 void

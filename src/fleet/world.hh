@@ -25,10 +25,9 @@
 #include <vector>
 
 #include "energy/harvester.hh"
-#include "fuzz/generator.hh"
 #include "mem/nv_audit.hh"
 #include "rfid/channel.hh"
-#include "sim/replay.hh"
+#include "sim/fault.hh"
 #include "sim/simulator.hh"
 #include "target/wisp.hh"
 
@@ -53,7 +52,7 @@ struct WorldConfig
     /** Attach the WAR consistency auditor. */
     bool withAuditor = false;
     /** Forced brown-out schedule (auditor sweeps). */
-    std::vector<fuzz::BrownOut> schedule;
+    std::vector<sim::BrownOut> schedule;
     /** PC of the WAR gadget's completion label (0 = no watch).
      *  Installs a tracer, which the world's slices call after every
      *  instruction. */
@@ -130,8 +129,8 @@ class World
     energy::RfHarvester harvester;
     std::unique_ptr<target::Wisp> wisp_;
     std::unique_ptr<mem::NvAuditor> aud;
-    sim::ScheduleLog schedule;
-    sim::SchedulePlayer player;
+    /** Forces `cfg.schedule`; absent when the schedule is empty. */
+    std::unique_ptr<sim::FaultInjector> faults;
 
     std::uint64_t instrsAtEpochStart = 0;
     bool backoff = false;

@@ -1,5 +1,6 @@
 #include "fuzz/corpus.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -60,7 +61,7 @@ artifactToText(const Artifact &artifact)
     s << "horizon " << c.horizon << "\n";
     s << "capacitance " << fmtDouble(c.capacitanceF) << "\n";
     s << "initial-volts " << fmtDouble(c.initialVolts) << "\n";
-    for (const BrownOut &b : c.schedule)
+    for (const sim::BrownOut &b : c.schedule)
         s << "brownout " << b.at << " " << fmtDouble(b.volts) << "\n";
     s << "program " << lineCount(c.program) << "\n" << c.program;
     if (!c.program.empty() && c.program.back() != '\n')
@@ -115,7 +116,7 @@ artifactFromText(const std::string &text, std::string *error)
         } else if (key == "initial-volts") {
             ls >> a.oracleCase.initialVolts;
         } else if (key == "brownout") {
-            BrownOut b;
+            sim::BrownOut b;
             ls >> b.at >> b.volts;
             if (ls.fail())
                 return fail("malformed brownout line");
@@ -145,8 +146,16 @@ artifactFromText(const std::string &text, std::string *error)
         return fail("missing 'oracle' line");
     if (!sawEnd)
         return fail("missing 'end' line");
-    if (a.oracleCase.program.empty())
+    const OracleCase &c = a.oracleCase;
+    if (c.program.empty())
         return fail("missing 'program' block");
+    if (c.horizon <= 0)
+        return fail("horizon must be positive");
+    if (!(std::isfinite(c.capacitanceF) && c.capacitanceF > 0.0))
+        return fail("capacitance must be positive and finite");
+    for (const sim::BrownOut &b : c.schedule)
+        if (b.at < 0 || !(b.volts >= 0.0))
+            return fail("brownout tick and volts must be non-negative");
     return a;
 }
 

@@ -292,23 +292,23 @@ makeElement(Rng &rng, bool checkpointing)
     return makeSnippet(rng);
 }
 
-std::vector<BrownOut>
+std::vector<sim::BrownOut>
 makeSchedule(Rng &rng, sim::Tick horizon, unsigned minN, unsigned maxN)
 {
-    std::vector<BrownOut> out;
+    std::vector<sim::BrownOut> out;
     unsigned n = static_cast<unsigned>(
         rng.uniformInt(static_cast<std::int64_t>(minN),
                        static_cast<std::int64_t>(maxN)));
     sim::Tick lo = horizon / 8;
     sim::Tick hi = (horizon * 7) / 8;
     for (unsigned i = 0; i < n; ++i) {
-        BrownOut b;
+        sim::BrownOut b;
         b.at = rng.uniformInt(lo, hi);
         b.volts = rng.uniform(0.8, 1.7);
         out.push_back(b);
     }
     std::sort(out.begin(), out.end(),
-              [](const BrownOut &a, const BrownOut &b) {
+              [](const sim::BrownOut &a, const sim::BrownOut &b) {
                   return a.at < b.at;
               });
     // Enforce a recharge gap so forced losses stay distinct events.

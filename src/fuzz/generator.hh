@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fault.hh"
 #include "sim/time.hh"
 
 namespace edb::fuzz {
@@ -51,14 +52,6 @@ constexpr std::uint32_t warGuideAddr = 0x6800;
 constexpr std::uint32_t warTargetAddr = 0x6804;
 constexpr std::uint32_t warSentinelAddr = 0x6808;
 } // namespace gen_layout
-
-/** One forced brown-out: capacitor voltage forced to `volts` at
- *  tick `at` (below the brown-out comparator = instant power loss). */
-struct BrownOut
-{
-    sim::Tick at = 0;
-    double volts = 1.0;
-};
 
 /** One atomic program element. */
 struct Element
@@ -97,7 +90,7 @@ struct CaseSpec
     /** Program body. */
     std::vector<Element> elements;
     /** Forced brown-out schedule. */
-    std::vector<BrownOut> schedule;
+    std::vector<sim::BrownOut> schedule;
 };
 
 /** Generation knobs. */

@@ -10,7 +10,6 @@
 #include "isa/assembler.hh"
 #include "mem/nv_audit.hh"
 #include "sim/fault.hh"
-#include "sim/replay.hh"
 #include "sim/rng.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
@@ -21,7 +20,6 @@ namespace edb::fuzz {
 namespace {
 
 constexpr sim::Tick pollQuantum = sim::oneMs;
-constexpr std::uint32_t opBrownOut = 1;
 
 /** Thevenin source parameters derived from the case seed: some
  *  worlds sustain the core, others sawtooth naturally on top of the
@@ -61,6 +59,15 @@ worldConfig(const OracleCase &c, bool reference, bool checkpointing,
     return config;
 }
 
+/** A leg's fault plan: its NV tear settings plus the case's forced
+ *  brown-out schedule. */
+sim::FaultPlan
+withSchedule(sim::FaultPlan plan, const OracleCase &c)
+{
+    plan.brownOuts = c.schedule;
+    return plan;
+}
+
 /** One oracle leg: simulator + harvester + target (+ auditor) with
  *  the case's brown-out schedule armed. */
 struct World
@@ -74,8 +81,8 @@ struct World
         bool startAndArm = true;
         /** Sealed + interruptible commits (crash-anywhere leg). */
         bool crashCommit = false;
-        /** NV torn-write fault plan; enabled ⇒ a FaultInjector is
-         *  built and wired into the commit path. */
+        /** NV torn-write settings of the leg's fault plan (the
+         *  crash-anywhere leg tears one commit word). */
         sim::FaultPlan nvPlan = {};
     };
 
@@ -83,9 +90,7 @@ struct World
     energy::TheveninHarvester src;
     target::Wisp wisp;
     std::unique_ptr<mem::NvAuditor> aud;
-    std::unique_ptr<sim::FaultInjector> fault;
-    sim::ScheduleLog log;
-    sim::SchedulePlayer player;
+    sim::FaultInjector fault;
 
     /** Coverage probe state (valid while instrumented). */
     mem::Addr lastPc = 0;
@@ -110,25 +115,9 @@ struct World
           wisp(sim, "wisp", &src, nullptr,
                worldConfig(c, opt.reference, opt.checkpointing,
                            opt.crashCommit)),
-          player(sim)
+          fault(sim, "fault", withSchedule(opt.nvPlan, c))
     {
-        if (opt.nvPlan.enabled) {
-            fault = std::make_unique<sim::FaultInjector>(
-                sim, "fault", opt.nvPlan);
-            // A forced brown-out models the supply collapsing in the
-            // middle of an NV program pulse: the capacitor is yanked
-            // below the brown-out threshold and the in-flight commit
-            // word tears.
-            fault->armBrownOuts([this] {
-                wisp.power().capacitor().setVoltage(0.5);
-            });
-            mcu::Mcu::NvCommitHooks hooks;
-            hooks.onCommitWord = [this] { fault->onNvCommitWord(); };
-            hooks.onTornWord = [this](std::uint32_t &word) {
-                return fault->onTornWord(word);
-            };
-            wisp.mcu().setNvCommitHooks(hooks);
-        }
+        wisp.attachFaults(&fault);
         if (opt.withAuditor) {
             aud = std::make_unique<mem::NvAuditor>(wisp.auditConfig(),
                                                    wisp.framRegion());
@@ -146,22 +135,11 @@ struct World
                 gadgetLive = false;
             }
         });
-        for (const BrownOut &b : c.schedule)
-            log.record(b.at, opBrownOut, b.volts);
         wisp.flash(prog);
         if (opt.startAndArm) {
             wisp.start();
-            armSchedule(0);
+            fault.armBrownOuts(0);
         }
-    }
-
-    void
-    armSchedule(sim::Tick from)
-    {
-        player.arm(log, from, [this](const sim::ScheduleEntry &e) {
-            if (e.op == opBrownOut)
-                wisp.power().capacitor().setVoltage(e.arg);
-        });
     }
 
     /** Install the coverage tracer (and the war_done watchpoint). */
@@ -406,7 +384,7 @@ runSnapshot(const OracleCase &c, Coverage *cov)
         return out;
     }
     rearmer.flush();
-    r.armSchedule(snapTick);
+    r.fault.armBrownOuts(snapTick);
     r.instrument(nullptr);
     r.runTo(c.horizon, nullptr);
     Digest resumed = digestOf(r);
@@ -518,7 +496,6 @@ runCrashAnywhere(const OracleCase &c, Coverage *cov)
     opt.checkpointing = true;
     opt.withAuditor = true;
     opt.crashCommit = true;
-    opt.nvPlan.enabled = true;
     opt.nvPlan.seed = c.seed ^ 0x63726173ULL; // "cras"
     {
         // Seed-derived tear point: any word of any commit burst. The
@@ -540,17 +517,17 @@ runCrashAnywhere(const OracleCase &c, Coverage *cov)
           << w.aud->unsealedRestoreCount()
           << " hybrid restores; tear at commit word "
           << opt.nvPlan.nvTearAtCommitWord << ", "
-          << w.fault->stats().nvTears << " tears, "
+          << w.fault.stats().nvTears << " tears, "
           << w.wisp.mcu().restoreCount() << " restores)";
         out.detail = s.str();
         return out;
     }
-    if (w.fault->stats().nvTears == 0) {
+    if (w.fault.stats().nvTears == 0) {
         out.inconclusive = true;
         std::ostringstream s;
         s << "no tear landed (tear word "
           << opt.nvPlan.nvTearAtCommitWord << ", "
-          << w.fault->stats().nvCommitWords
+          << w.fault.stats().nvCommitWords
           << " commit words observed)";
         out.detail = s.str();
     }
@@ -610,7 +587,7 @@ runEtap(const OracleCase &c, Coverage *cov)
         return w.wisp.power().cumulativeChargeOut();
     };
     sim::Tick last_forced = 0;
-    for (const BrownOut &b : c.schedule)
+    for (const sim::BrownOut &b : c.schedule)
         last_forced = std::max(last_forced, b.at);
 
     double window_start = charge_out();

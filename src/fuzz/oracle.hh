@@ -98,7 +98,7 @@ struct OracleCase
     double capacitanceF = 4.7e-6;
     /** Start charged so the first boot is immediate. */
     double initialVolts = 2.6;
-    std::vector<BrownOut> schedule;
+    std::vector<sim::BrownOut> schedule;
 };
 
 /** Lower a generated spec to its replayable textual form. */

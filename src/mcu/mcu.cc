@@ -6,6 +6,7 @@
 #include "mem/nv_audit.hh"
 #include "mem/nv_region.hh"
 #include "runtime/checkpoint.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -920,8 +921,8 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
         if (torn || state_ != McuState::Running)
             return false;
         ++words_started;
-        if (nvHooks_.onCommitWord)
-            nvHooks_.onCommitWord();
+        if (faults_)
+            faults_->onNvCommitWord();
         const sim::Tick at = cursor.now() + word_dt;
         power.advanceTo(at);
         cursor.advance(at);
@@ -930,7 +931,7 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
         if (state_ != McuState::Running) {
             torn = true;
             std::uint32_t v = value;
-            if (nvHooks_.onTornWord && nvHooks_.onTornWord(v)) {
+            if (faults_ && faults_->onTornWord(v)) {
                 mem_.write32(addr, v);
                 torn_whole = words_started == burst_words && v == value;
             }

@@ -36,6 +36,7 @@ namespace edb::sim {
 class SnapshotWriter;
 class SnapshotReader;
 class EventRearmer;
+class FaultInjector;
 } // namespace edb::sim
 
 namespace edb::mcu {
@@ -215,20 +216,15 @@ class Mcu : public sim::Component
     mem::NvRegion *nvRegion() const { return nv_; }
 
     /**
-     * Fault-injection hooks of the interruptible commit path.
-     * `onCommitWord` fires before each commit word's energy drain
-     * (wire to FaultInjector::onNvCommitWord); `onTornWord` decides
-     * the disposition of the in-flight word when the burst tears
-     * (wire to FaultInjector::onTornWord).
+     * Attach the fault injector of the interruptible commit path
+     * (nullptr detaches): `FaultInjector::onNvCommitWord` runs before
+     * each commit word's energy drain, and `onTornWord` decides the
+     * disposition of the in-flight word when the burst tears.
+     * `target::Wisp::attachFaults` wires it.
      */
-    struct NvCommitHooks
+    void setFaultInjector(sim::FaultInjector *faults)
     {
-        std::function<void()> onCommitWord;
-        std::function<bool(std::uint32_t &)> onTornWord;
-    };
-    void setNvCommitHooks(NvCommitHooks hooks)
-    {
-        nvHooks_ = std::move(hooks);
+        faults_ = faults;
     }
 
     /** Commits that ended torn (power lost mid-burst). */
@@ -399,7 +395,7 @@ class Mcu : public sim::Component
 
     mem::NvAuditor *audit_ = nullptr;
     mem::NvRegion *nv_ = nullptr;
-    NvCommitHooks nvHooks_;
+    sim::FaultInjector *faults_ = nullptr;
     /** Ticks spent inside the current interruptible commit, folded
      *  back into the slice clock by step() after execute(). */
     sim::Tick commitExtraTicks_ = 0;

@@ -1,7 +1,5 @@
 #include "sim/fault.hh"
 
-#include "sim/snapshot.hh"
-
 namespace edb::sim {
 
 std::vector<std::uint8_t>
@@ -122,36 +120,30 @@ FaultInjector::inFadeSeconds(double seconds) const
 }
 
 void
-FaultInjector::fireBrownOut()
+FaultInjector::fireBrownOut(double volts)
 {
     ++stats_.brownOutsForced;
     if (brownOutFn)
-        brownOutFn();
+        brownOutFn(volts);
 }
 
 void
-FaultInjector::armBrownOuts(std::function<void()> fire)
+FaultInjector::armBrownOuts(Tick after)
 {
-    brownOutFn = std::move(fire);
+    for (EventId id : armed_)
+        sim().cancel(id);
+    armed_.clear();
     if (!plan_.enabled)
         return;
-    for (Tick at : plan_.brownOutAtTick) {
-        if (at < now())
+    for (const BrownOut &b : plan_.brownOuts) {
+        if (b.at <= after)
             continue;
-        EventId id = sim().schedule(at, [this] { fireBrownOut(); });
-        armed_.emplace_back(id, at);
-    }
-}
-
-void
-FaultInjector::onInstruction()
-{
-    if (!plan_.enabled || plan_.brownOutAtInstr == 0)
-        return;
-    if (++instrCount == plan_.brownOutAtInstr) {
-        ++stats_.brownOutsForced;
-        if (brownOutFn)
-            brownOutFn();
+        const std::size_t slot = armed_.size();
+        armed_.push_back(
+            sim().schedule(b.at, [this, slot, volts = b.volts] {
+                armed_[slot] = invalidEventId;
+                fireBrownOut(volts);
+            }));
     }
 }
 
@@ -164,9 +156,7 @@ FaultInjector::onNvCommitWord()
     if (plan_.nvTearAtCommitWord != 0 &&
         ++nvCommitWordCount == plan_.nvTearAtCommitWord) {
         ++stats_.nvTears;
-        ++stats_.brownOutsForced;
-        if (brownOutFn)
-            brownOutFn();
+        fireBrownOut(nvTearVolts);
     }
 }
 
@@ -183,68 +173,6 @@ FaultInjector::onTornWord(std::uint32_t &word)
     if (word != intended)
         ++stats_.nvTornWordsCorrupted;
     return true;
-}
-
-void
-FaultInjector::saveState(SnapshotWriter &w) const
-{
-    w.section("fault");
-    w.rng(rng);
-    w.u64(instrCount);
-    w.u64(nvCommitWordCount);
-    w.u64(stats_.wireBytes);
-    w.u64(stats_.corrupted);
-    w.u64(stats_.dropped);
-    w.u64(stats_.duplicated);
-    w.u64(stats_.adcGlitches);
-    w.u64(stats_.brownOutsForced);
-    w.u64(stats_.nvCommitWords);
-    w.u64(stats_.nvTears);
-    w.u64(stats_.nvTornWordsCorrupted);
-    // Only brown-outs still in the future are queue residue; fired
-    // ones linger in armed_ but are history, not pending state.
-    std::uint32_t live = 0;
-    for (const auto &[id, when] : armed_) {
-        if (when > now())
-            ++live;
-    }
-    w.u32(live);
-    for (const auto &[id, when] : armed_) {
-        if (when > now())
-            w.pendingEvent(id, when);
-    }
-}
-
-void
-FaultInjector::restoreState(SnapshotReader &r, EventRearmer &rearmer)
-{
-    r.section("fault");
-    r.rng(rng);
-    instrCount = r.u64();
-    nvCommitWordCount = r.u64();
-    stats_.wireBytes = r.u64();
-    stats_.corrupted = r.u64();
-    stats_.dropped = r.u64();
-    stats_.duplicated = r.u64();
-    stats_.adcGlitches = r.u64();
-    stats_.brownOutsForced = r.u64();
-    stats_.nvCommitWords = r.u64();
-    stats_.nvTears = r.u64();
-    stats_.nvTornWordsCorrupted = r.u64();
-    for (const auto &[id, when] : armed_) {
-        if (when > now())
-            sim().cancel(id);
-    }
-    armed_.clear();
-    std::uint32_t live = r.u32();
-    for (std::uint32_t i = 0; i < live && r.ok(); ++i) {
-        r.pendingEvent(
-            rearmer, [this] { fireBrownOut(); },
-            [this](EventId id, Tick due) {
-                if (id != invalidEventId)
-                    armed_.emplace_back(id, due);
-            });
-    }
 }
 
 } // namespace edb::sim

@@ -5,16 +5,16 @@
  * A `FaultInjector` perturbs a running simulation according to a
  * `FaultPlan`: corrupting, dropping or duplicating debug-UART bytes,
  * glitching EDB's ADC samples, blanking the harvester during RF fade
- * windows, and forcing target brown-outs at chosen ticks or
- * instruction counts. Each plan carries its own seed and the injector
+ * windows, forcing target brown-outs at chosen ticks and tearing NV
+ * commit bursts. Each plan carries its own seed and the injector
  * owns a private `Rng`, so fault sequences are reproducible and,
  * crucially, an injector that is disabled (or absent) perturbs
  * nothing — not even the simulator's shared random stream.
  *
  * The injector is deliberately generic: it knows nothing about
  * energy, UARTs or MCUs. Subsystems opt in by routing values through
- * its hooks (`EdbBoard::injectFaults`, `energy::FadedHarvester`, an
- * MCU tracer calling `onInstruction`).
+ * its hooks (`EdbBoard::injectFaults`, `energy::FadedHarvester`,
+ * `target::Wisp::attachFaults`).
  */
 
 #ifndef EDB_SIM_FAULT_HH
@@ -31,15 +31,20 @@
 
 namespace edb::sim {
 
-class SnapshotWriter;
-class SnapshotReader;
-class EventRearmer;
-
 /** A window during which the ambient energy source is gone. */
 struct FadeWindow
 {
     Tick start = 0;
     Tick length = 0;
+};
+
+/** One forced brown-out: the storage capacitor is forced to `volts`
+ *  at tick `at` (below the brown-out comparator = instant power
+ *  loss). */
+struct BrownOut
+{
+    Tick at = 0;
+    double volts = 1.0;
 };
 
 /** Everything a fault scenario is allowed to do, plus its seed. */
@@ -66,10 +71,8 @@ struct FaultPlan
     /** Harvester dropout windows (RF fades). */
     std::vector<FadeWindow> fades;
 
-    /** Force a target brown-out at each of these ticks. */
-    std::vector<Tick> brownOutAtTick;
-    /** Force a brown-out at this retired-instruction count (0 = off). */
-    std::uint64_t brownOutAtInstr = 0;
+    /** Forced target brown-outs, armed by `armBrownOuts`. */
+    std::vector<BrownOut> brownOuts;
 
     /// @name Torn NV writes (multi-word commit bursts)
     /// @{
@@ -220,23 +223,31 @@ class FaultInjector : public Component
     /** Fade check in the seconds domain (harvester models). */
     bool inFadeSeconds(double seconds) const;
 
-    /**
-     * Schedule the plan's tick-based brown-outs; `fire` runs at each
-     * configured tick (typically dropping the target's capacitor
-     * below the brown-out threshold).
-     */
-    void armBrownOuts(std::function<void()> fire);
+    /** Capacitor volts an NV tear forces: far below the brown-out
+     *  comparator, so the in-flight commit word loses its supply. */
+    static constexpr double nvTearVolts = 0.5;
+
+    /** Receives every forced brown-out with the volts to force the
+     *  storage capacitor to (`target::Wisp::attachFaults` installs
+     *  one that sets the device's capacitor). */
+    void
+    setBrownOutHandler(std::function<void(double volts)> handler)
+    {
+        brownOutFn = std::move(handler);
+    }
 
     /**
-     * Count one retired instruction; fires the armed brown-out
-     * callback when the count reaches `plan.brownOutAtInstr`. Call
-     * from an MCU tracer.
+     * Schedule every `plan.brownOuts` entry with `at > after`, in plan
+     * order, first cancelling whatever an earlier call armed that has
+     * not fired yet. A fresh world arms with 0; a world restored from
+     * a snapshot taken at tick T arms with T, since the entries at or
+     * before T are already reflected in the restored state.
      */
-    void onInstruction();
+    void armBrownOuts(Tick after);
 
     /**
-     * Count one NV commit-burst word; fires the armed brown-out
-     * callback when the cumulative count reaches
+     * Count one NV commit-burst word; forces a brown-out to
+     * `nvTearVolts` when the cumulative count reaches
      * `plan.nvTearAtCommitWord`, producing a torn write. Called by
      * the MCU's interruptible checkpoint commit before each word's
      * energy is drained, so the forced voltage drop lands exactly on
@@ -256,27 +267,20 @@ class FaultInjector : public Component
 
     const Stats &stats() const { return stats_; }
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// Restore rearms only brown-out events still in the future,
-    /// using the callback from the live `armBrownOuts` call — the
-    /// plan itself is construction config and must match.
-    /// @{
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r, EventRearmer &rearmer);
-    /// @}
-
   private:
-    void fireBrownOut();
+    void fireBrownOut(double volts);
 
     FaultPlan plan_;
     /** Private stream: never the simulator's shared RNG, so an
      *  enabled-but-idle injector cannot perturb other models. */
     Rng rng;
-    std::function<void()> brownOutFn;
-    std::uint64_t instrCount = 0;
+    std::function<void(double)> brownOutFn;
     std::uint64_t nvCommitWordCount = 0;
-    /** Armed brown-out events: (id, due tick), snapshot residue. */
-    std::vector<std::pair<EventId, Tick>> armed_;
+    /** Events of the last `armBrownOuts`. Each resets its own slot
+     *  to invalidEventId when it fires, so a re-arm cancels only
+     *  pending events: EventQueue::cancel cannot tell a fired id from
+     *  a live one and would miscount the queue. */
+    std::vector<EventId> armed_;
     Stats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "target/wisp.hh"
 
 #include "rfid/channel.hh"
+#include "sim/fault.hh"
 #include "sim/snapshot.hh"
 
 namespace edb::target {
@@ -132,6 +133,14 @@ Wisp::attachAuditor(mem::NvAuditor *auditor)
         map.setWriteHook(&mem::NvAuditor::rawWriteHook, auditor);
     else
         map.clearWriteHook();
+}
+
+void
+Wisp::attachFaults(sim::FaultInjector *faults)
+{
+    faults->setBrownOutHandler(
+        [this](double volts) { power_.capacitor().setVoltage(volts); });
+    core.setFaultInjector(faults);
 }
 
 void

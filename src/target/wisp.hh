@@ -45,6 +45,10 @@ namespace edb::rfid {
 class RfChannel;
 }
 
+namespace edb::sim {
+class FaultInjector;
+}
+
 namespace edb::target {
 
 /** Fixed address-space layout of the device. */
@@ -145,6 +149,13 @@ class Wisp : public sim::Component
      *  (nullptr detaches both). The auditor is caller-owned. */
     void attachAuditor(mem::NvAuditor *auditor);
     /// @}
+
+    /** Route `faults`' forced brown-outs (its plan's schedule and its
+     *  NV tears) to this device's storage capacitor, and hand the
+     *  core the injector for its commit-word and torn-word calls.
+     *  The injector (non-null) is caller-owned and arms its schedule
+     *  itself (`FaultInjector::armBrownOuts`). */
+    void attachFaults(sim::FaultInjector *faults);
 
     /// @name Snapshot support (see sim/snapshot.hh)
     /// Captures the event clock, the shared RNG and every subsystem.

@@ -96,6 +96,10 @@ TEST(VBreakCondition, ParsesValidExpressions)
         "r1>2&&r2<5",
         "r1>2||r2<5",
         "(r1>2||r2<5)&&vcap>=0.5",
+        "vcap<1.802",
+        "r3==0XFF",
+        "instrs<18446744073709551615",
+        "r007==7",
     };
     for (const char *text : good) {
         std::string why;
@@ -123,6 +127,17 @@ TEST(VBreakCondition, RejectsMalformedExpressions)
         "nv[-4]==0",
         "sram[1.5]==0",
         "nv[1e20]==0", // ...nor is one past 32 bits
+        "nv[0x100000000]==0",
+        "vcap<nan",    // literals: unsigned integers or plain
+        "r0==inf",     // decimal fractions only
+        "r1>=0x1p4",
+        "r2<-5",
+        "r0==1e400",
+        "vcap>.5",
+        "vcap>1.",
+        "r0==18446744073709551616",
+        "r4294967296==0", // register indices must not wrap
+        "r4294967297==0",
     };
     for (const char *text : bad) {
         std::string why;
@@ -358,6 +373,22 @@ TEST(JsonValue, NumbersFollowTheJsonGrammar)
     for (const char *good : {"0", "-0", "7", "-12", "1.5", "1e3", "2E+2",
                              "1.25e-3"})
         EXPECT_TRUE(JsonValue::parse(good).has_value()) << good;
+}
+
+TEST(JsonValue, StringsFollowTheJsonGrammar)
+{
+    // RFC 8259 §7: a \u escape takes exactly four hex digits, and
+    // control characters must be escaped.
+    for (const char *bad :
+         {"\"\\uZZZZ\"", "\"\\u00zz\"", "\"\\u12\"", "\"\\u\"",
+          "\"a\x01" "b\"", "\"tab\there\"", "\"nl\nx\"", "\"\x1f\""})
+        EXPECT_FALSE(JsonValue::parse(bad).has_value()) << bad;
+    for (const char *good :
+         {"\"\\u0041\"", "\"\\uBEEF\"", "\"a\\tb\"", "\" \x7f\""})
+        EXPECT_TRUE(JsonValue::parse(good).has_value()) << good;
+    auto v = JsonValue::parse("\"x\\u00e9y\"");
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->str(), "x?y");
 }
 
 TEST(JsonValue, GetUintTakesOnlyUnsignedIntegers)
@@ -638,6 +669,26 @@ TEST(DebugServer, NonIntegerIdsAreMalformed)
     server.runEpoch();
     EXPECT_EQ(server.stats().framesIn, std::size(ids));
     EXPECT_EQ(server.stats().malformedJson, std::size(ids));
+    EXPECT_EQ(server.stats().commandsServed, 0u);
+}
+
+TEST(DebugServer, MalformedStringsAreMalformed)
+{
+    fleet::Fleet fleet(tinyFleet());
+    DebugServer server(fleet);
+    edbdbg::ClientWire *wire = server.connect("strings");
+    ASSERT_NE(wire, nullptr);
+    const std::string reqs[] = {
+        "{\"id\":1,\"m\":\"pi\\u00zzng\"}",
+        "{\"id\":2,\"m\":\"\\uZZZZ\"}",
+        "{\"id\":3,\"m\":\"pi\x01" "ng\"}",
+    };
+    for (const std::string &req : reqs)
+        ASSERT_TRUE(wire->toServer(edbdbg::buildFrame(
+            std::vector<std::uint8_t>(req.begin(), req.end()))));
+    server.runEpoch();
+    EXPECT_EQ(server.stats().framesIn, std::size(reqs));
+    EXPECT_EQ(server.stats().malformedJson, std::size(reqs));
     EXPECT_EQ(server.stats().commandsServed, 0u);
 }
 

@@ -57,18 +57,21 @@ TEST(FaultInjector, DisabledPlanIsCompletelyInert)
     plan.uartDropProb = 1.0;
     plan.adcGlitchProb = 1.0;
     plan.fades.push_back({0, 10 * sim::oneSec});
-    plan.brownOutAtInstr = 1;
+    plan.brownOuts = {{sim::oneMs, 0.5}};
+    plan.nvTearAtCommitWord = 1;
     sim::Simulator simulator(2);
     sim::FaultInjector inj(simulator, "inj", plan);
     int fired = 0;
-    inj.armBrownOuts([&fired] { ++fired; });
+    inj.setBrownOutHandler([&fired](double) { ++fired; });
+    inj.armBrownOuts(0);
     for (int i = 0; i < 100; ++i) {
         auto r = inj.onWire(0x5A);
         EXPECT_EQ(r.count, 1);
         EXPECT_EQ(r.bytes[0], 0x5A);
         EXPECT_EQ(inj.onAdc(2.4), 2.4);
-        inj.onInstruction();
+        inj.onNvCommitWord();
     }
+    simulator.runFor(2 * sim::oneMs);
     EXPECT_FALSE(inj.inFade(sim::oneSec));
     EXPECT_EQ(fired, 0);
     EXPECT_EQ(inj.stats().wireBytes, 0u);
@@ -137,22 +140,75 @@ TEST(FaultInjector, FadeWindowsAreHalfOpen)
     EXPECT_TRUE(inj.inFadeSeconds(0.012));
 }
 
-TEST(FaultInjector, BrownOutFiresAtTickAndAtInstruction)
+TEST(FaultInjector, ArmsOnlyBrownOutsAfterTheArmTick)
 {
     sim::FaultPlan plan;
-    plan.brownOutAtTick = {5 * sim::oneMs, 9 * sim::oneMs};
-    plan.brownOutAtInstr = 10;
+    plan.brownOuts = {{10, 0.1}, {20, 0.2}, {30, 0.3}};
     sim::Simulator simulator(6);
     sim::FaultInjector inj(simulator, "inj", plan);
-    int fired = 0;
-    inj.armBrownOuts([&fired] { ++fired; });
-    simulator.runFor(4 * sim::oneMs);
-    EXPECT_EQ(fired, 0);
-    simulator.runFor(6 * sim::oneMs);
-    EXPECT_EQ(fired, 2);
-    for (int i = 0; i < 30; ++i)
-        inj.onInstruction();
-    EXPECT_EQ(fired, 3); // instruction trigger is one-shot
+    std::vector<std::pair<sim::Tick, double>> fired;
+    inj.setBrownOutHandler([&](double volts) {
+        fired.emplace_back(simulator.now(), volts);
+    });
+    // A world resumed from a snapshot at tick 20 already holds the
+    // effects of the entries at 10 and 20.
+    inj.armBrownOuts(20);
+    simulator.runUntil(40);
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0].first, 30);
+    EXPECT_EQ(fired[0].second, 0.3);
+    EXPECT_EQ(inj.stats().brownOutsForced, 1u);
+}
+
+TEST(FaultInjector, RearmCancelsPendingBrownOuts)
+{
+    sim::FaultPlan plan;
+    plan.brownOuts = {{10, 0.1}, {20, 0.2}};
+    sim::Simulator simulator(6);
+    sim::FaultInjector inj(simulator, "inj", plan);
+    std::vector<sim::Tick> fired;
+    inj.setBrownOutHandler(
+        [&](double) { fired.push_back(simulator.now()); });
+    inj.armBrownOuts(0);
+    inj.armBrownOuts(0); // replaces the first arm, never doubles it
+    simulator.runUntil(15);
+    EXPECT_EQ(fired, (std::vector<sim::Tick>{10}));
+
+    // Re-arm mid-run: the pending entry at 20 is replaced by its
+    // re-armed copy, which fires once.
+    inj.armBrownOuts(simulator.now());
+    simulator.runUntil(40);
+    EXPECT_EQ(fired, (std::vector<sim::Tick>{10, 20}));
+    EXPECT_EQ(simulator.nextEventTime(), sim::maxTick);
+}
+
+TEST(FaultInjector, AttachFaultsRoutesBrownOutVoltsToTheCapacitor)
+{
+    sim::Simulator simulator(6);
+    energy::TheveninHarvester supply(3.0, 200.0);
+    target::Wisp wisp(simulator, "wisp", &supply, nullptr);
+    sim::FaultPlan plan;
+    plan.brownOuts = {{5 * sim::oneMs, 1.25}, {9 * sim::oneMs, 0.75}};
+    plan.nvTearAtCommitWord = 2;
+    sim::FaultInjector inj(simulator, "inj", plan);
+    wisp.attachFaults(&inj);
+    inj.armBrownOuts(0);
+    // Probes scheduled after the arm run right after each entry, at
+    // its tick.
+    std::vector<double> volts;
+    for (const sim::BrownOut &b : plan.brownOuts)
+        simulator.schedule(b.at, [&] {
+            volts.push_back(wisp.power().voltageNoAdvance());
+        });
+    simulator.runUntil(10 * sim::oneMs);
+    EXPECT_EQ(volts, (std::vector<double>{1.25, 0.75}));
+
+    // An NV tear forces its own fixed drop through the same route.
+    inj.onNvCommitWord();
+    EXPECT_EQ(wisp.power().voltageNoAdvance(), 0.75);
+    inj.onNvCommitWord();
+    EXPECT_EQ(wisp.power().voltageNoAdvance(),
+              sim::FaultInjector::nvTearVolts);
     EXPECT_EQ(inj.stats().brownOutsForced, 3u);
 }
 
@@ -517,14 +573,13 @@ TEST(FaultedRun, ForcedBrownOutRebootsLinkedListApp)
     sim::Simulator simulator(88);
     energy::TheveninHarvester supply(3.0, 200.0);
     sim::FaultPlan plan;
-    plan.brownOutAtTick = {40 * sim::oneMs};
+    plan.brownOuts = {{40 * sim::oneMs, 0.5}};
     sim::FaultInjector inj(simulator, "inj", plan);
     target::Wisp wisp(simulator, "wisp", &supply, nullptr);
+    wisp.attachFaults(&inj);
     wisp.flash(apps::buildLinkedListApp());
     wisp.start();
-    inj.armBrownOuts([&wisp] {
-        wisp.power().capacitor().setVoltage(0.5);
-    });
+    inj.armBrownOuts(0);
     simulator.runFor(sim::oneSec);
     EXPECT_EQ(inj.stats().brownOutsForced, 1u);
     EXPECT_GE(wisp.power().brownOutCount(), 1u);

@@ -106,6 +106,33 @@ TEST(FuzzCorpus, ArtifactTextRoundTrips)
     }
 }
 
+TEST(FuzzCorpus, LoaderRejectsOutOfRangeValues)
+{
+    auto artifact = [](const std::string &knobs) {
+        return "oracle fastref\nseed 1\n" + knobs +
+               "program 1\n    halt\nend\n";
+    };
+    std::string error;
+    ASSERT_TRUE(fuzz::artifactFromText(
+                    artifact("horizon 1000\ncapacitance 4.7e-06\n"
+                             "brownout 0 0\nbrownout 5 1.5\n"),
+                    &error)
+                    .has_value())
+        << error;
+    // A non-positive capacitance would throw sim::FatalError out of
+    // runOracle; the rest describe no run at all.
+    for (const char *knobs :
+         {"capacitance 0\n", "capacitance -4.7e-06\n",
+          "horizon 0\n", "horizon -1000\n", "brownout -5 1.0\n",
+          "brownout 5 -1.0\n"}) {
+        error.clear();
+        EXPECT_FALSE(fuzz::artifactFromText(artifact(knobs), &error)
+                         .has_value())
+            << knobs;
+        EXPECT_FALSE(error.empty()) << knobs;
+    }
+}
+
 // ---------------------------------------------------------------
 // Generator determinism (what makes artifacts and CI replayable).
 // ---------------------------------------------------------------

@@ -10,7 +10,7 @@
 
 #include "sim/event.hh"
 #include "sim/logging.hh"
-#include "sim/replay.hh"
+#include "sim/progress.hh"
 #include "sim/rng.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
@@ -369,92 +369,6 @@ TEST(Rng, ExportImportCoversDistributionHelpers)
     EXPECT_EQ(b.uniform(), u);
     EXPECT_EQ(b.gaussian(2.5), g);
     EXPECT_EQ(b.uniformInt(-10, 10), n);
-}
-
-TEST(ScheduleLog, RecordsAndTruncates)
-{
-    ScheduleLog log;
-    log.record(10, 1, 0.5);
-    log.record(20, 2);
-    log.record(30, 1, 1.5);
-    EXPECT_EQ(log.size(), 3u);
-    log.truncateAfter(20);
-    ASSERT_EQ(log.size(), 2u);
-    EXPECT_EQ(log.entries()[1].at, 20);
-    log.clear();
-    EXPECT_TRUE(log.empty());
-}
-
-TEST(ScheduleLog, SnapshotRoundTrip)
-{
-    ScheduleLog log;
-    log.record(10, 1, 0.5);
-    log.record(30, 7, -2.25);
-    SnapshotWriter w;
-    log.saveState(w);
-
-    ScheduleLog back;
-    back.record(99, 9); // must be replaced, not appended to
-    SnapshotReader r;
-    ASSERT_TRUE(r.load(w.finish()));
-    back.restoreState(r);
-    EXPECT_TRUE(r.ok());
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back.entries()[0].at, 10);
-    EXPECT_EQ(back.entries()[0].op, 1u);
-    EXPECT_EQ(back.entries()[0].arg, 0.5);
-    EXPECT_EQ(back.entries()[1].at, 30);
-    EXPECT_EQ(back.entries()[1].op, 7u);
-    EXPECT_EQ(back.entries()[1].arg, -2.25);
-}
-
-TEST(SchedulePlayer, ArmsOnlyTheSuffixPastFrom)
-{
-    Simulator sim(1);
-    ScheduleLog log;
-    log.record(10, 1, 0.1);
-    log.record(20, 2, 0.2);
-    log.record(30, 3, 0.3);
-
-    SchedulePlayer player(sim);
-    std::vector<std::uint32_t> applied;
-    player.arm(log, 15, [&applied](const ScheduleEntry &e) {
-        applied.push_back(e.op);
-    });
-    EXPECT_EQ(player.pending(), 2u);
-    sim.runUntil(40);
-    EXPECT_EQ(player.fired(), 2u);
-    EXPECT_EQ(player.pending(), 0u);
-    ASSERT_EQ(applied.size(), 2u);
-    EXPECT_EQ(applied[0], 2u);
-    EXPECT_EQ(applied[1], 3u);
-}
-
-TEST(SchedulePlayer, CancelAndRearmReplaceTheSchedule)
-{
-    Simulator sim(1);
-    ScheduleLog log;
-    log.record(10, 1);
-    log.record(20, 2);
-
-    SchedulePlayer player(sim);
-    int applies = 0;
-    player.arm(log, 0, [&applies](const ScheduleEntry &) {
-        ++applies;
-    });
-    EXPECT_EQ(player.pending(), 2u);
-    player.cancel();
-    EXPECT_EQ(player.pending(), 0u);
-    sim.runUntil(15);
-    EXPECT_EQ(applies, 0);
-
-    // Re-arm mid-run: only the not-yet-reached entry fires, once.
-    player.arm(log, sim.now(), [&applies](const ScheduleEntry &) {
-        ++applies;
-    });
-    EXPECT_EQ(player.pending(), 1u);
-    sim.runUntil(40);
-    EXPECT_EQ(applies, 1);
 }
 
 TEST(ProgressMonitor, TripsOnRebootsWithoutCommit)

@@ -20,6 +20,7 @@
 #include "isa/assembler.hh"
 #include "mcu/mmio_map.hh"
 #include "rfid/channel.hh"
+#include "sim/fault.hh"
 #include "sim/snapshot.hh"
 #include "sim/simulator.hh"
 #include "target/wisp.hh"
@@ -284,6 +285,63 @@ TEST(SnapshotResume, InPlaceRewindIsDeterministic)
     EXPECT_EQ(simulator.now(), snapAt);
     simulator.runUntil(endAt);
     expectSameDigest(digestOf(simulator, wisp), first);
+}
+
+TEST(SnapshotResume, ForcedBrownOutAfterTheSnapshotFiresAtTheSameTick)
+{
+    // One forced loss before the snapshot, which the restored state
+    // already holds, and one after it, which the resumed world re-arms
+    // from the snapshot tick.
+    constexpr sim::Tick snapAt = 300 * sim::oneMs;
+    constexpr sim::Tick endAt = 900 * sim::oneMs;
+    sim::FaultPlan plan;
+    plan.brownOuts = {{100 * sim::oneMs, 0.5}, {600 * sim::oneMs, 0.5}};
+    auto program = apps::buildLinkedListApp();
+
+    struct Rig
+    {
+        sim::Simulator sim{21};
+        energy::TheveninHarvester supply{3.0, 200.0};
+        target::Wisp wisp{sim, "wisp", &supply};
+        sim::FaultInjector faults;
+        std::vector<sim::Tick> losses;
+
+        explicit Rig(const sim::FaultPlan &plan) : faults(sim, "f", plan)
+        {
+            wisp.attachFaults(&faults);
+            wisp.power().addPowerListener([this](bool on) {
+                if (!on)
+                    losses.push_back(sim.now());
+            });
+        }
+    };
+
+    Rig orig(plan);
+    orig.wisp.flash(program);
+    orig.wisp.start();
+    orig.faults.armBrownOuts(0);
+    orig.sim.runUntil(snapAt);
+    auto image = snapshotOf(orig.wisp);
+    const std::size_t lossesBefore = orig.losses.size();
+    orig.sim.runUntil(endAt);
+
+    Rig resumed(plan);
+    resumed.wisp.flash(program);
+    ASSERT_TRUE(restoreInto(image, resumed.sim, resumed.wisp));
+    resumed.faults.armBrownOuts(snapAt);
+    resumed.sim.runUntil(endAt);
+
+    ASSERT_EQ(lossesBefore, 1u);
+    const std::vector<sim::Tick> lossesAfter(
+        orig.losses.begin() + lossesBefore, orig.losses.end());
+    ASSERT_EQ(lossesAfter.size(), 1u);
+    EXPECT_GE(lossesAfter[0], 600 * sim::oneMs);
+    EXPECT_LT(lossesAfter[0], 601 * sim::oneMs);
+    EXPECT_EQ(resumed.losses, lossesAfter);
+    EXPECT_EQ(orig.faults.stats().brownOutsForced, 2u);
+    EXPECT_EQ(resumed.faults.stats().brownOutsForced, 1u);
+    expectSameDigest(digestOf(resumed.sim, resumed.wisp),
+                     digestOf(orig.sim, orig.wisp));
 }
 
 TEST(SnapshotResume, RestoredRunCanBeResnapshotted)
