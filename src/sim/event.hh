@@ -4,17 +4,15 @@
  *
  * Events are closures scheduled at an absolute tick. Ties are broken by
  * insertion order so a run is deterministic. Scheduling returns an
- * `EventId` which may be used to cancel the event (cancellation is
- * lazy: the slot is marked dead and skipped when popped).
+ * `EventId` which may be used to cancel the event while it is pending.
  */
 
 #ifndef EDB_SIM_EVENT_HH
 #define EDB_SIM_EVENT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hh"
@@ -41,67 +39,64 @@ class EventQueue
     schedule(Tick when, Callback cb)
     {
         EventId id = ++nextId;
-        heap.push(Entry{when, id, std::move(cb)});
-        ++liveCount;
+        heap.push_back(Entry{when, id, std::move(cb)});
+        std::push_heap(heap.begin(), heap.end(), later);
         return id;
     }
 
     /**
-     * Cancel a previously scheduled event. Safe to call with an id
-     * that already fired (returns false in that case).
+     * Cancel a pending event. Returns false, and changes nothing,
+     * for an id that already fired, was already cancelled or was
+     * never issued. Scans the pending events: cancels are rare
+     * (brown-outs, restores, peripheral aborts) and the queue holds
+     * a handful of entries.
      */
     bool
     cancel(EventId id)
     {
-        if (id == invalidEventId)
+        auto it = std::find_if(heap.begin(), heap.end(),
+                               [id](const Entry &e) { return e.id == id; });
+        if (it == heap.end())
             return false;
-        auto [it, inserted] = cancelled.insert(id);
-        (void)it;
-        if (inserted && liveCount > 0)
-            --liveCount;
-        return inserted;
+        heap.erase(it);
+        std::make_heap(heap.begin(), heap.end(), later);
+        return true;
     }
 
-    /** True when no live (non-cancelled) events remain. */
-    bool empty() const { return liveCount == 0; }
+    /** True when no events are pending. */
+    bool empty() const { return heap.empty(); }
 
-    /** Number of live events. */
-    std::size_t size() const { return liveCount; }
+    /** Number of pending events. */
+    std::size_t size() const { return heap.size(); }
 
-    /**
-     * Time of the earliest live event, or `maxTick` when empty.
-     * Prunes cancelled entries from the top of the heap.
-     */
+    /** Time of the earliest pending event, or `maxTick` when empty. */
     Tick
-    nextTime()
+    nextTime() const
     {
-        prune();
-        return heap.empty() ? maxTick : heap.top().when;
+        return heap.empty() ? maxTick : heap.front().when;
     }
 
     /**
-     * Pop the earliest live event without running it, so the caller
-     * can update its clock before invoking the callback.
+     * Pop the earliest pending event without running it, so the
+     * caller can update its clock before invoking the callback.
      * @return false when the queue was empty.
      */
     bool
     popNext(Tick &when, Callback &cb)
     {
-        prune();
         if (heap.empty())
             return false;
         // Move the callback out before any invocation: callbacks may
         // schedule events, mutating the heap.
-        when = heap.top().when;
-        cb = std::move(const_cast<Entry &>(heap.top()).cb);
-        heap.pop();
-        if (liveCount > 0)
-            --liveCount;
+        std::pop_heap(heap.begin(), heap.end(), later);
+        when = heap.back().when;
+        cb = std::move(heap.back().cb);
+        heap.pop_back();
         return true;
     }
 
     /**
-     * Pop and run the earliest live event.
+     * Pop and run the earliest pending event.
      * @param now Receives the event's timestamp (set before the
      *        callback runs).
      * @return false when the queue was empty.
@@ -122,34 +117,20 @@ class EventQueue
         Tick when;
         EventId id;
         Callback cb;
-
-        bool
-        operator>(const Entry &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return id > other.id;
-        }
     };
 
-    /** Discard cancelled entries sitting at the top of the heap. */
-    void
-    prune()
+    /** Heap order: the earliest (when, id) sits at the front. Ids are
+     *  unique, so the pop order is fixed whatever the heap layout. */
+    static bool
+    later(const Entry &a, const Entry &b)
     {
-        // nextTime() runs on the interpreter's slice path; skip the
-        // hash probe entirely in the common no-cancellations state.
-        if (cancelled.empty())
-            return;
-        while (!heap.empty() && cancelled.count(heap.top().id)) {
-            cancelled.erase(heap.top().id);
-            heap.pop();
-        }
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.id > b.id;
     }
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    std::unordered_set<EventId> cancelled;
+    std::vector<Entry> heap;
     EventId nextId = invalidEventId;
-    std::size_t liveCount = 0;
 };
 
 } // namespace edb::sim

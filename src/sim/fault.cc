@@ -138,12 +138,8 @@ FaultInjector::armBrownOuts(Tick after)
     for (const BrownOut &b : plan_.brownOuts) {
         if (b.at <= after)
             continue;
-        const std::size_t slot = armed_.size();
-        armed_.push_back(
-            sim().schedule(b.at, [this, slot, volts = b.volts] {
-                armed_[slot] = invalidEventId;
-                fireBrownOut(volts);
-            }));
+        armed_.push_back(sim().schedule(
+            b.at, [this, volts = b.volts] { fireBrownOut(volts); }));
     }
 }
 

@@ -276,10 +276,8 @@ class FaultInjector : public Component
     Rng rng;
     std::function<void(double)> brownOutFn;
     std::uint64_t nvCommitWordCount = 0;
-    /** Events of the last `armBrownOuts`. Each resets its own slot
-     *  to invalidEventId when it fires, so a re-arm cancels only
-     *  pending events: EventQueue::cancel cannot tell a fired id from
-     *  a live one and would miscount the queue. */
+    /** Events of the last `armBrownOuts`; a re-arm cancels them
+     *  (cancelling one that already fired is a no-op). */
     std::vector<EventId> armed_;
     Stats stats_;
 };

@@ -10,6 +10,7 @@
 #ifndef EDB_SIM_RNG_HH
 #define EDB_SIM_RNG_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -76,6 +77,7 @@ class Mt64
                            (state[i - 1] ^ (state[i - 1] >> 62)) +
                        i;
         index = n;
+        ++generation;
     }
 
     result_type
@@ -87,6 +89,31 @@ class Mt64
     }
 
     static constexpr result_type defaultSeed = 5489;
+
+    /** Words per block: each refill generates this many. */
+    static constexpr unsigned blockWords = 312;
+
+    /**
+     * Look-ahead access to the current block (see Rng::gaussian).
+     * `position()` is the index of the word the next draw returns
+     * (`blockWords` once the block is used up); `peek(k)` reads
+     * buffered word `k` without drawing it; `skipTo(k)` moves the
+     * read index to `k` (position() <= k <= blockWords), which is
+     * exactly what `k - position()` draws would do.
+     */
+    unsigned position() const { return index; }
+    result_type peek(unsigned k) const { return out[k]; }
+    void skipTo(unsigned k) { index = k; }
+
+    /**
+     * Where the engine stands in its stream: the read index plus a
+     * generation that every refill, seed and import bumps. Any draw
+     * changes it, so a value computed from the words after one
+     * cursor is still the next value exactly while the cursor is
+     * unchanged. Not part of State: it names a position, it does
+     * not restore one.
+     */
+    std::uint64_t cursor() const { return (generation << 9) | index; }
 
     /**
      * Full engine state, exportable for snapshots: the 312-word
@@ -125,10 +152,11 @@ class Mt64
         // Clamp a corrupt index to "buffer exhausted": the next draw
         // refills instead of reading out[] out of bounds.
         index = s.index > n ? n : s.index;
+        ++generation;
     }
 
   private:
-    static constexpr unsigned n = 312;
+    static constexpr unsigned n = blockWords;
     static constexpr unsigned m = 156;
     static constexpr result_type upperMask = ~result_type{0} << 31;
     static constexpr result_type lowerMask = ~upperMask;
@@ -165,16 +193,23 @@ class Mt64
             out[k] = y;
         }
         index = 0;
+        ++generation;
     }
 
     result_type state[n];
     result_type out[n];
     unsigned index;
+    std::uint64_t generation = 0;
 };
 
 /**
  * Thin wrapper around a 64-bit Mersenne twister with convenience
  * samplers used throughout the analog and channel models.
+ *
+ * Every sampler returns, bit for bit, what the matching libstdc++
+ * distribution returns on the same engine (a fresh distribution per
+ * call), and consumes the same words: seeded runs keep their
+ * historical trajectories. The unit tests pin each one.
  */
 class Rng
 {
@@ -184,18 +219,16 @@ class Rng
     /** Re-seed the generator (resets the stream). */
     void seed(std::uint64_t s) { engine.seed(s); }
 
-    /** Uniform double in [0, 1). */
-    double
-    uniform()
-    {
-        return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
-    }
+    /** Uniform double in [0, 1): the library's
+     *  `canonical() * (1.0 - 0.0) + 0.0`, which is canonical(). */
+    double uniform() { return canonical(); }
 
-    /** Uniform double in [lo, hi). */
+    /** Uniform double in [lo, hi), as
+     *  `std::uniform_real_distribution<double>(lo, hi)` computes it. */
     double
     uniform(double lo, double hi)
     {
-        return std::uniform_real_distribution<double>(lo, hi)(engine);
+        return canonical() * (hi - lo) + lo;
     }
 
     /** Uniform integer in [lo, hi] inclusive. */
@@ -206,32 +239,53 @@ class Rng
     }
 
     /**
-     * Zero-mean Gaussian with the given standard deviation.
+     * Zero-mean Gaussian with the given standard deviation, equal to
+     * `std::normal_distribution<double>(0.0, sigma)(engine)` from a
+     * freshly constructed (stateless) distribution: Marsaglia's polar
+     * method on canonical() uniforms, returning `y * mult`.
      *
-     * Hand-inlined Marsaglia polar method, drawing uniforms through
-     * canonical(). A freshly constructed std::normal_distribution is
-     * stateless (no saved spare), so this consumes the same engine
-     * draws and performs the same double arithmetic as
-     * `std::normal_distribution<double>(0.0, sigma)(engine)` — the
-     * stream is bit-identical, it just skips the library's generic
-     * long-double uniform path (which re-derives log2(engine range)
-     * per draw and dominated the analog integration profile).
+     * The polar step's log() and its accept/reject branch dominated
+     * the analog integration profile, so standard normals are
+     * computed ahead of use from the engine's already generated,
+     * still undrawn words (see Ahead). A call returns the next one
+     * and skips the engine past exactly the words that normal used,
+     * so every word is drawn once, in order, by the caller that
+     * would have drawn it anyway. The look-ahead stands only while
+     * the engine's cursor is where the previous call left it: any
+     * other draw, refill, seed or import discards it.
      */
     double
     gaussian(double sigma)
     {
         if (sigma <= 0.0)
             return 0.0;
-        double x, y, r2;
-        do {
-            x = 2.0 * canonical() - 1.0;
-            y = 2.0 * canonical() - 1.0;
-            r2 = x * x + y * y;
-        } while (r2 > 1.0 || r2 == 0.0);
-        const double mult = std::sqrt(-2 * std::log(r2) / r2);
+        double z;
+        if (ahead.cursor != engine.cursor()) [[unlikely]] {
+            // Another draw moved the engine since the last call: drop
+            // the look-ahead and draw this one in the library's loop.
+            // Back-to-back calls then fill 2, 4, ... aheadPairs pairs,
+            // so a caller that alternates gaussian() with other draws
+            // computes few values only to discard them.
+            ahead.next = ahead.count = 0;
+            ahead.span = 1;
+            z = polar();
+        } else {
+            if (ahead.next == ahead.count)
+                fillAhead();
+            if (ahead.next < ahead.count) [[likely]] {
+                const unsigned k = ahead.next++;
+                engine.skipTo(ahead.end[k]);
+                z = ahead.value[k];
+            } else {
+                // No pair accepted, e.g. at the block end, where a
+                // pair may straddle the refill.
+                z = polar();
+            }
+        }
+        ahead.cursor = engine.cursor();
         // Matches the library's `ret * stddev + mean` exactly,
         // including the +0.0 (not a no-op for signed zeros).
-        return (y * mult) * sigma + 0.0;
+        return z * sigma + 0.0;
     }
 
     /** Bernoulli trial: true with probability p. */
@@ -249,17 +303,9 @@ class Rng
      * Uniform double in [0, 1) equal, bit for bit, to
      * `std::generate_canonical<double, 53>(raw())`: for a 64-bit
      * engine that specialization is a single draw scaled into [0, 1)
-     * with a top-end guard (scaling by 2^-64 is exact, so multiply
-     * and divide agree).
+     * with a top-end guard.
      */
-    double
-    canonical()
-    {
-        double r = static_cast<double>(engine()) * 0x1p-64;
-        if (r >= 1.0) [[unlikely]]
-            r = std::nextafter(1.0, 0.0);
-        return r;
-    }
+    double canonical() { return unit(engine()); }
 
     /** Access to the raw engine for std distributions. */
     Mt64 &raw() { return engine; }
@@ -271,7 +317,95 @@ class Rng
     void importState(const Mt64::State &s) { engine.importState(s); }
 
   private:
+    /**
+     * `(double)w * 0x1p-64`, guarded below 1.0, without the branch
+     * GCC emits for an unsigned-to-double conversion (which random
+     * words mispredict half the time). Each 32-bit half converts
+     * exactly and `hi * 2^32` is exact, so the sum rounds once, to
+     * the same double as `(double)w`; scaling by 2^-64 is exact.
+     * Words from 2^64 - 2^10 up round to 2^64 and take the guard.
+     */
+    static double
+    unit(std::uint64_t w)
+    {
+        const double hi = static_cast<std::uint32_t>(w >> 32);
+        const double lo = static_cast<std::uint32_t>(w);
+        double r = (hi * 0x1p32 + lo) * 0x1p-64;
+        if (r >= 1.0) [[unlikely]]
+            r = std::nextafter(1.0, 0.0);
+        return r;
+    }
+
+    /** The library's polar loop on drawn words; `y * mult`. */
+    double
+    polar()
+    {
+        double x, y, r2;
+        do {
+            x = 2.0 * canonical() - 1.0;
+            y = 2.0 * canonical() - 1.0;
+            r2 = x * x + y * y;
+        } while (r2 > 1.0 || r2 == 0.0);
+        return y * std::sqrt(-2 * std::log(r2) / r2);
+    }
+
+    /**
+     * Compute the standard normals of up to `ahead.span` polar pairs
+     * read from the undrawn words of the current block, without
+     * drawing them. The first pass converts and tests every pair
+     * branch-free and keeps the accepted ones in order; the second
+     * runs the independent log/sqrt chains back to back. A pair that
+     * would straddle the block end is left to polar(), so a fill at
+     * the end of a block may hold nothing.
+     */
+    void
+    fillAhead()
+    {
+        ahead.span = std::min(2 * ahead.span, aheadPairs);
+        unsigned j = engine.position();
+        const unsigned pairs =
+            std::min(ahead.span, (Mt64::blockWords - j) / 2);
+        unsigned count = 0;
+        for (unsigned p = 0; p < pairs; ++p, j += 2) {
+            const double x = 2.0 * unit(engine.peek(j)) - 1.0;
+            const double y = 2.0 * unit(engine.peek(j + 1)) - 1.0;
+            const double r2 = x * x + y * y;
+            ahead.value[count] = y;
+            ahead.end[count] = static_cast<std::uint16_t>(j + 2);
+            ahead.r2[count] = r2;
+            // !(r2 > 1.0 || r2 == 0.0); r2 is never NaN.
+            count += (r2 <= 1.0) & (r2 != 0.0);
+        }
+        for (unsigned k = 0; k < count; ++k) {
+            const double r2 = ahead.r2[k];
+            ahead.value[k] *= std::sqrt(-2 * std::log(r2) / r2);
+        }
+        ahead.next = 0;
+        ahead.count = count;
+    }
+
+    static constexpr unsigned aheadPairs = 32;
+
+    /** Standard normals computed ahead of use (never serialized:
+     *  an import discards them and they are computed again). */
+    struct Ahead
+    {
+        /** `y * mult` of each accepted pair, in stream order. */
+        double value[aheadPairs] = {};
+        /** Engine position just past the words of value[k]. */
+        std::uint16_t end[aheadPairs] = {};
+        /** Fill scratch: the accepted pairs' r2, in order. */
+        double r2[aheadPairs] = {};
+        unsigned next = 0;
+        unsigned count = 0;
+        /** Pairs a fill scans (fewer at a block end). */
+        unsigned span = 1;
+        /** Engine cursor where the last gaussian() call left it. */
+        std::uint64_t cursor = 0;
+    };
+
     Mt64 engine;
+    Ahead ahead;
 };
 
 } // namespace edb::sim

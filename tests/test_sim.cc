@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <random>
 #include <vector>
 
 #include "sim/event.hh"
@@ -93,6 +96,23 @@ TEST(EventQueue, NextTimeSkipsCancelled)
     EXPECT_EQ(queue.size(), 1u);
 }
 
+TEST(EventQueue, CancelFiredIdChangesNothing)
+{
+    EventQueue queue;
+    bool late = false;
+    EventId early = queue.schedule(10, [] {});
+    queue.schedule(20, [&] { late = true; });
+    Tick now = 0;
+    ASSERT_TRUE(queue.runOne(now));
+    EXPECT_FALSE(queue.cancel(early));
+    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_FALSE(queue.empty());
+    EXPECT_EQ(queue.nextTime(), 20);
+    EXPECT_TRUE(queue.runOne(now));
+    EXPECT_TRUE(late);
+    EXPECT_EQ(now, 20);
+}
+
 TEST(EventQueue, NextTimeEmptyIsMax)
 {
     EventQueue queue;
@@ -145,6 +165,18 @@ TEST(Simulator, ScheduleInPastClampsToNow)
     sim.runFor(1);
     EXPECT_TRUE(fired);
     EXPECT_EQ(sim.now(), 101);
+}
+
+TEST(Simulator, CancelFiredEventKeepsLaterOnes)
+{
+    Simulator sim;
+    bool late = false;
+    EventId early = sim.schedule(10, [] {});
+    sim.schedule(20, [&] { late = true; });
+    sim.runUntil(15);
+    EXPECT_FALSE(sim.cancel(early));
+    EXPECT_EQ(sim.runToCompletion(), 20);
+    EXPECT_TRUE(late);
 }
 
 TEST(Simulator, StopEndsRunEarly)
@@ -274,6 +306,254 @@ TEST(Rng, GaussianMatchesStdNormalDistributionExactly)
     for (int i = 0; i < 100000; ++i) {
         double expect = std::normal_distribution<double>(0.0, 0.05)(ref);
         EXPECT_EQ(rng.gaussian(0.05), expect) << "draw " << i;
+    }
+}
+
+std::uint64_t
+bits(double d)
+{
+    return std::bit_cast<std::uint64_t>(d);
+}
+
+/**
+ * Every sampler against the library on a reference engine, in an
+ * interleaving that keeps discarding and refilling the gaussian
+ * look-ahead: runs of one to a few hundred gaussians (two sigmas)
+ * broken by each other kind of draw, with one snapshot export into
+ * a fresh Rng half way. Values are compared bit for bit.
+ */
+TEST(Rng, InterleavedSamplersMatchTheLibraryBitForBit)
+{
+    Rng first(2024);
+    Rng second(1);
+    Rng *rng = &first;
+    std::mt19937_64 ref(2024);
+    std::uint64_t pick = 0; // op chooser, independent of both engines
+    constexpr unsigned total = 1'200'000;
+    unsigned op = 0;
+    bool moved = false;
+    while (op < total) {
+        if (!moved && op >= total / 2) {
+            second.importState(first.exportState());
+            rng = &second;
+            moved = true;
+        }
+        const std::uint64_t r = splitmix64(++pick);
+        const unsigned kind = r % 8;
+        const unsigned run = kind <= 1 ? 1 + (r >> 8) % 300 : 1 + (r >> 8) % 3;
+        for (unsigned i = 0; i < run; ++i, ++op) {
+            switch (kind) {
+              case 0:
+              case 1: {
+                const double sigma = kind == 0 ? 0.05 : 2.5;
+                const double expect =
+                    std::normal_distribution<double>(0.0, sigma)(ref);
+                ASSERT_EQ(bits(rng->gaussian(sigma)), bits(expect))
+                    << "op " << op;
+                break;
+              }
+              case 2: {
+                const double expect =
+                    std::uniform_real_distribution<double>(0.0, 1.0)(ref);
+                ASSERT_EQ(bits(rng->uniform()), bits(expect)) << "op " << op;
+                break;
+              }
+              case 3: {
+                const double lo = -3.0 + (r >> 20) % 7;
+                const double hi = lo + 0.25 + (r >> 32) % 5;
+                const double expect =
+                    std::uniform_real_distribution<double>(lo, hi)(ref);
+                ASSERT_EQ(bits(rng->uniform(lo, hi)), bits(expect))
+                    << "op " << op;
+                break;
+              }
+              case 4: {
+                const std::int64_t expect =
+                    std::uniform_int_distribution<std::int64_t>(-50, 1000)(
+                        ref);
+                ASSERT_EQ(rng->uniformInt(-50, 1000), expect) << "op " << op;
+                break;
+              }
+              case 5: {
+                const bool expect =
+                    std::uniform_real_distribution<double>(0.0, 1.0)(ref) <
+                    0.3;
+                ASSERT_EQ(rng->chance(0.3), expect) << "op " << op;
+                break;
+              }
+              case 6: {
+                const double expect =
+                    std::generate_canonical<double, 53>(ref);
+                ASSERT_EQ(bits(rng->canonical()), bits(expect))
+                    << "op " << op;
+                break;
+              }
+              default:
+                ASSERT_EQ(rng->raw()(), ref()) << "op " << op;
+                break;
+            }
+        }
+    }
+    EXPECT_TRUE(moved);
+    EXPECT_EQ(rng->raw()(), ref());
+}
+
+/**
+ * Long gaussian runs from each start offset 0..3, so polar pairs meet
+ * the 312-word block end at both parities (a pair that straddles it
+ * takes the scalar loop); the next raw words show the engine was
+ * skipped to exactly where the library leaves it.
+ */
+TEST(Rng, GaussianRunsAcrossBlockEdgesAtBothParities)
+{
+    for (unsigned offset = 0; offset < 4; ++offset) {
+        Rng rng(77 + offset);
+        std::mt19937_64 ref(77 + offset);
+        for (unsigned i = 0; i < offset; ++i)
+            ASSERT_EQ(rng.raw()(), ref());
+        for (int i = 0; i < 5000; ++i) {
+            const double expect =
+                std::normal_distribution<double>(0.0, 1.0)(ref);
+            ASSERT_EQ(bits(rng.gaussian(1.0)), bits(expect))
+                << "offset " << offset << " draw " << i;
+        }
+        for (int i = 0; i < 3; ++i)
+            EXPECT_EQ(rng.raw()(), ref()) << "offset " << offset;
+    }
+}
+
+/**
+ * The look-ahead names a stream position, not just a read index: an
+ * import, or exactly one block of other draws, that leaves the index
+ * where the last gaussian() left it must still discard it, so the
+ * next gaussian comes from the words now in the buffer.
+ */
+TEST(Rng, LookAheadIsDiscardedAtTheSameIndex)
+{
+    for (int warm = 5; warm < 40; ++warm) {
+        Rng imported(31);
+        Rng drawn(31);
+        std::mt19937_64 ref(31);
+        for (int i = 0; i < warm; ++i) {
+            // Leaves a look-ahead, often partly used.
+            imported.gaussian(1.0);
+            drawn.gaussian(1.0);
+            std::normal_distribution<double>(0.0, 1.0)(ref);
+        }
+        Mt64::State s = imported.exportState();
+        for (unsigned k = s.index; k < 312; ++k)
+            s.out[k] = splitmix64(s.out[k]);
+        imported.importState(s);
+        Mt64 importRef;
+        importRef.importState(s);
+        for (unsigned k = 0; k < 312; ++k)
+            ASSERT_EQ(drawn.raw()(), ref());
+        for (int i = 0; i < 20; ++i) {
+            const double a = std::normal_distribution<double>(0.0, 1.0)(
+                importRef);
+            ASSERT_EQ(bits(imported.gaussian(1.0)), bits(a))
+                << "warm-up " << warm << " draw " << i;
+            const double b = std::normal_distribution<double>(0.0, 1.0)(ref);
+            ASSERT_EQ(bits(drawn.gaussian(1.0)), bits(b))
+                << "warm-up " << warm << " draw " << i;
+        }
+    }
+}
+
+/**
+ * Edge words planted in the engine's output buffer: the exact
+ * conversion must round them as `(double)w` does, the top-end guard
+ * must catch those that round to 2^64, and the polar loop's corner
+ * cases (r2 == 1, r2 == 0, x at the guard) must match the library run
+ * on an engine that returns the same words.
+ */
+TEST(Rng, CraftedWordsMatchTheLibrary)
+{
+    const std::uint64_t top = ~std::uint64_t{0};
+    const std::uint64_t edges[] = {
+        0,
+        1,
+        (std::uint64_t{1} << 53) - 1,
+        (std::uint64_t{1} << 53) + 1,
+        (std::uint64_t{1} << 63) - 1,
+        std::uint64_t{1} << 63,
+        (std::uint64_t{1} << 63) + 1,
+        top - (std::uint64_t{1} << 11) + 1, // 2^64 - 2^11
+        top - (std::uint64_t{1} << 10),     // 2^64 - 2^10 - 1
+        top - (std::uint64_t{1} << 10) + 1, // 2^64 - 2^10
+        top,                                // 2^64 - 1
+    };
+    const Mt64::State base = Rng(5).exportState();
+
+    // One edge word at a time through canonical().
+    for (std::uint64_t w : edges) {
+        Mt64::State s = base;
+        s.out[0] = w;
+        s.index = 0;
+        Rng rng;
+        rng.importState(s);
+        Mt64 ref;
+        ref.importState(s);
+        EXPECT_EQ(bits(rng.canonical()),
+                  bits(std::generate_canonical<double, 53>(ref)))
+            << "word " << w;
+    }
+    for (std::uint64_t w : {top, top - (std::uint64_t{1} << 10) + 1}) {
+        Mt64::State s = base;
+        s.out[0] = w;
+        s.index = 0;
+        Rng rng;
+        rng.importState(s);
+        EXPECT_EQ(rng.canonical(), std::nextafter(1.0, 0.0));
+    }
+
+    // Blocks made only of edge words, in several orders, through
+    // gaussian() and every other sampler; runs go past the block end
+    // into genuinely twisted words.
+    const unsigned count = sizeof(edges) / sizeof(edges[0]);
+    for (unsigned stride = 1; stride < count; ++stride) {
+        Mt64::State s = base;
+        for (unsigned k = 0; k < 312; ++k)
+            s.out[k] = edges[(k * stride + k / count) % count];
+        s.index = stride % 2;
+        Rng rng;
+        rng.importState(s);
+        Mt64 ref;
+        ref.importState(s);
+        for (int i = 0; i < 400; ++i) {
+            if (i % 97 == 96) {
+                ASSERT_EQ(bits(rng.canonical()),
+                          bits(std::generate_canonical<double, 53>(ref)));
+                continue;
+            }
+            const double expect =
+                std::normal_distribution<double>(0.0, 0.5)(ref);
+            ASSERT_EQ(bits(rng.gaussian(0.5)), bits(expect))
+                << "stride " << stride << " draw " << i;
+        }
+        EXPECT_EQ(rng.raw()(), ref());
+    }
+
+    // The polar corner cases on their own: x = -1, y = 0 gives
+    // r2 == 1 (accepted, mult = sqrt(-0.0)); x = y = 0 gives r2 == 0
+    // (rejected); x at the guard with y = 0 is accepted.
+    const std::uint64_t half = std::uint64_t{1} << 63;
+    const std::uint64_t corner[] = {half, half, 0, half, top, half};
+    for (unsigned shift = 0; shift < 6; shift += 2) {
+        Mt64::State s = base;
+        for (unsigned k = 0; k < 312; ++k)
+            s.out[k] = corner[(k + shift) % 6];
+        s.index = 0;
+        Rng rng;
+        rng.importState(s);
+        Mt64 ref;
+        ref.importState(s);
+        for (int i = 0; i < 200; ++i) {
+            const double expect =
+                std::normal_distribution<double>(0.0, 1.0)(ref);
+            ASSERT_EQ(bits(rng.gaussian(1.0)), bits(expect))
+                << "shift " << shift << " draw " << i;
+        }
     }
 }
 
