@@ -252,35 +252,25 @@ class Rng
      * so every word is drawn once, in order, by the caller that
      * would have drawn it anyway. The look-ahead stands only while
      * the engine's cursor is where the previous call left it: any
-     * other draw, refill, seed or import discards it.
+     * other draw, refill, seed or import discards it, and the next
+     * call fills it again from the engine's new position.
      */
     double
     gaussian(double sigma)
     {
         if (sigma <= 0.0)
             return 0.0;
+        if (ahead.cursor != engine.cursor() || ahead.next == ahead.count)
+            fillAhead();
         double z;
-        if (ahead.cursor != engine.cursor()) [[unlikely]] {
-            // Another draw moved the engine since the last call: drop
-            // the look-ahead and draw this one in the library's loop.
-            // Back-to-back calls then fill 2, 4, ... aheadPairs pairs,
-            // so a caller that alternates gaussian() with other draws
-            // computes few values only to discard them.
-            ahead.next = ahead.count = 0;
-            ahead.span = 1;
-            z = polar();
+        if (ahead.next < ahead.count) [[likely]] {
+            const unsigned k = ahead.next++;
+            engine.skipTo(ahead.end[k]);
+            z = ahead.value[k];
         } else {
-            if (ahead.next == ahead.count)
-                fillAhead();
-            if (ahead.next < ahead.count) [[likely]] {
-                const unsigned k = ahead.next++;
-                engine.skipTo(ahead.end[k]);
-                z = ahead.value[k];
-            } else {
-                // No pair accepted, e.g. at the block end, where a
-                // pair may straddle the refill.
-                z = polar();
-            }
+            // No pair accepted, e.g. at the block end, where a pair
+            // may straddle the refill.
+            z = polar();
         }
         ahead.cursor = engine.cursor();
         // Matches the library's `ret * stddev + mean` exactly,
@@ -350,7 +340,7 @@ class Rng
     }
 
     /**
-     * Compute the standard normals of up to `ahead.span` polar pairs
+     * Compute the standard normals of up to `aheadPairs` polar pairs
      * read from the undrawn words of the current block, without
      * drawing them. The first pass converts and tests every pair
      * branch-free and keeps the accepted ones in order; the second
@@ -361,25 +351,23 @@ class Rng
     void
     fillAhead()
     {
-        ahead.span = std::min(2 * ahead.span, aheadPairs);
         unsigned j = engine.position();
         const unsigned pairs =
-            std::min(ahead.span, (Mt64::blockWords - j) / 2);
+            std::min(aheadPairs, (Mt64::blockWords - j) / 2);
+        double r2[aheadPairs] = {};
         unsigned count = 0;
         for (unsigned p = 0; p < pairs; ++p, j += 2) {
             const double x = 2.0 * unit(engine.peek(j)) - 1.0;
             const double y = 2.0 * unit(engine.peek(j + 1)) - 1.0;
-            const double r2 = x * x + y * y;
+            const double s = x * x + y * y;
             ahead.value[count] = y;
             ahead.end[count] = static_cast<std::uint16_t>(j + 2);
-            ahead.r2[count] = r2;
-            // !(r2 > 1.0 || r2 == 0.0); r2 is never NaN.
-            count += (r2 <= 1.0) & (r2 != 0.0);
+            r2[count] = s;
+            // !(s > 1.0 || s == 0.0); s is never NaN.
+            count += (s <= 1.0) & (s != 0.0);
         }
-        for (unsigned k = 0; k < count; ++k) {
-            const double r2 = ahead.r2[k];
-            ahead.value[k] *= std::sqrt(-2 * std::log(r2) / r2);
-        }
+        for (unsigned k = 0; k < count; ++k)
+            ahead.value[k] *= std::sqrt(-2 * std::log(r2[k]) / r2[k]);
         ahead.next = 0;
         ahead.count = count;
     }
@@ -394,12 +382,8 @@ class Rng
         double value[aheadPairs] = {};
         /** Engine position just past the words of value[k]. */
         std::uint16_t end[aheadPairs] = {};
-        /** Fill scratch: the accepted pairs' r2, in order. */
-        double r2[aheadPairs] = {};
         unsigned next = 0;
         unsigned count = 0;
-        /** Pairs a fill scans (fewer at a block end). */
-        unsigned span = 1;
         /** Engine cursor where the last gaussian() call left it. */
         std::uint64_t cursor = 0;
     };
