@@ -60,12 +60,12 @@ main()
     bench::banner("Ablation: LED-based tracing vs GPIO signalling "
                   "(linked-list app, 10 s harvested)");
 
-    target::WispConfig config;
-    double base = config.mcu.activeAmps;
+    const double base = mcu::Mcu::activeAmps;
+    const double led_amps = target::Wisp::ledAmps;
     std::printf("current draw: active %.1f mA; with LED lit %.1f mA "
                 "(%.1fx)\n",
-                base * 1e3, (base + config.ledAmps) * 1e3,
-                (base + config.ledAmps) / base);
+                base * 1e3, (base + led_amps) * 1e3,
+                (base + led_amps) / base);
     std::printf("(paper: ~1 mA -> over 5 mA, five times)\n\n");
 
     auto gpio = run(false, 4001);

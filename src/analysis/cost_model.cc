@@ -23,21 +23,20 @@ CostModel::fromWisp(const target::Wisp &wisp)
     const mcu::McuConfig &mc = core.config();
     const target::WispConfig &wc = wisp.config();
     const energy::PowerSystemConfig &pc = wisp.power().config();
+    using mcu::Mcu;
+    using mcu::Uart;
 
     CostModel m;
-    m.cyclePeriod = 1.0 / mc.clockHz;
-    m.activeAmps = mc.activeAmps;
-    m.haltAmps = mc.haltAmps;
-    m.sleepAmps = mc.sleepAmps;
-    m.ledAmps = wc.ledAmps;
+    m.cyclePeriod = 1.0 / Mcu::clockHz;
+    m.activeAmps = Mcu::activeAmps;
+    m.haltAmps = Mcu::haltAmps;
+    m.sleepAmps = Mcu::sleepAmps;
+    m.ledAmps = target::Wisp::ledAmps;
 
-    m.uartFrameSeconds =
-        static_cast<double>(wc.uart.bitsPerByte) / wc.uart.baud;
-    m.uartTxAmps = wc.uart.txActiveAmps;
-    m.dbgUartFrameSeconds =
-        static_cast<double>(wc.debug.uart.bitsPerByte) /
-        wc.debug.uart.baud;
-    m.dbgUartTxAmps = wc.debug.uart.txActiveAmps;
+    m.uartFrameSeconds = Uart::bitsPerByte / Uart::baud;
+    m.uartTxAmps = target::Wisp::consoleUartTxAmps;
+    m.dbgUartFrameSeconds = Uart::bitsPerByte / Uart::baud;
+    m.dbgUartTxAmps = mcu::DebugPort::uartTxAmps;
     m.nvWriteCharge = wc.nvTech.writeChargeCoulombs;
 
     m.checkpointing = mc.checkpointingEnabled;
@@ -47,12 +46,12 @@ CostModel::fromWisp(const target::Wisp &wisp)
     m.chkptBaseWords = m.chkptCyclesPerWord > 0
                            ? m.chkptBaseCycles / m.chkptCyclesPerWord
                            : 0;
-    m.chkptSlotBytes = mc.checkpointSlotSize;
+    m.chkptSlotBytes = Mcu::checkpointSlotSize;
 
     m.capacitanceF = pc.capacitanceF;
     m.turnOnVolts = pc.turnOnVolts;
     m.brownOutVolts = pc.brownOutVolts;
-    m.bootSeconds = seconds(mc.bootDelay);
+    m.bootSeconds = seconds(Mcu::bootDelay);
 
     m.sramBase = target::layout::sramBase;
     m.sramSize = target::layout::sramSize;
@@ -60,7 +59,7 @@ CostModel::fromWisp(const target::Wisp &wisp)
     m.framSize = target::layout::framSize;
     m.mmioBase = target::layout::mmioBase;
     m.mmioSize = target::layout::mmioSize;
-    m.stackTop = mc.stackTop;
+    m.stackTop = Mcu::stackTop;
 
     for (unsigned b = 0; b < 256; ++b) {
         std::uint32_t word = static_cast<std::uint32_t>(b) << 24;

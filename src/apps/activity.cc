@@ -8,6 +8,15 @@
 
 namespace edb::apps {
 
+namespace {
+
+/** Accelerometer samples per classification window. */
+constexpr unsigned windowSize = 8;
+/** Per-sample deviation threshold for "moving". */
+constexpr unsigned threshold = 350;
+
+} // namespace
+
 std::string
 activitySource(const ActivityOptions &options)
 {
@@ -22,9 +31,9 @@ activitySource(const ActivityOptions &options)
       << ".equ A_ARGV, " << lay::argvAddr << "\n"
       << ".equ A_MAGICV, " << lay::magicValue << "\n"
       << ".equ ACCEL_ADDR, "
-      << unsigned(sensors::AccelConfig{}.busAddress) << "\n"
-      << ".equ WINDOW, " << options.windowSize << "\n"
-      << ".equ WINTH, " << options.windowSize * options.threshold
+      << unsigned(sensors::Accelerometer::busAddress) << "\n"
+      << ".equ WINDOW, " << windowSize << "\n"
+      << ".equ WINTH, " << windowSize * threshold
       << "\n"
       << ".equ NUMBUF, 0x2F00\n";
 

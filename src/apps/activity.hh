@@ -36,10 +36,6 @@ struct ActivityOptions
     ActivityOutput output = ActivityOutput::None;
     /** Insert watchpoints 1/2/3 (EDB program-event tracing). */
     bool withWatchpoints = true;
-    /** Accelerometer samples per classification window. */
-    unsigned windowSize = 8;
-    /** Per-sample deviation threshold for "moving". */
-    unsigned threshold = 350;
 };
 
 /** Watchpoint ids. */

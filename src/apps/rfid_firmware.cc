@@ -8,6 +8,13 @@
 
 namespace edb::apps {
 
+namespace {
+
+/** Busy-loop iterations modelling the software decode cost. */
+constexpr unsigned decodeCostLoops = 50;
+
+} // namespace
+
 std::string
 rfidFirmwareSource(const RfidFirmwareOptions &options)
 {
@@ -24,7 +31,7 @@ rfidFirmwareSource(const RfidFirmwareOptions &options)
       << unsigned(rfid::MsgType::CmdQueryRep) << "\n"
       << ".equ MSG_RSP, "
       << unsigned(rfid::MsgType::RspGeneric) << "\n"
-      << ".equ DECODE_LOOPS, " << options.decodeCostLoops << "\n";
+      << ".equ DECODE_LOOPS, " << decodeCostLoops << "\n";
 
     s << R"(
 main:

@@ -23,8 +23,6 @@ struct RfidFirmwareOptions
 {
     /** Emit watchpoint 1 after each successful reply. */
     bool withWatchpoints = false;
-    /** Busy-loop iterations modelling the software decode cost. */
-    unsigned decodeCostLoops = 50;
 };
 
 /** Watchpoint ids. */

@@ -17,12 +17,11 @@ EdbBoard::EdbBoard(sim::Simulator &simulator,
     : sim::Component(simulator, std::move(component_name)),
       wisp(target_device),
       rfChannel(channel),
-      cfg(config),
       pins(simulator.rng()),
       adc_(simulator.rng(), config.adc),
       charger(simulator, name() + ".charge", target_device.power(),
               adc_, config.charge),
-      tether(config.tetherVolts, config.tetherOhms)
+      tether(tetherVolts, tetherOhms)
 {
     auto &power = wisp.power();
 
@@ -31,11 +30,9 @@ EdbBoard::EdbBoard(sim::Simulator &simulator,
     power.addSource(
         name() + ".tether",
         [this](double v, double) { return tether.currentInto(v); });
-    if (cfg.attachPassiveLeakage) {
-        power.addSource(
-            name() + ".pin_leakage",
-            [this](double v, double) { return -pins.totalDrain(v); });
-    }
+    power.addSource(
+        name() + ".pin_leakage",
+        [this](double v, double) { return -pins.totalDrain(v); });
 
     // Debug-port wiring.
     wisp.debugPort().addReqListener(
@@ -94,7 +91,6 @@ EdbBoard::EdbBoard(sim::Simulator &simulator,
     // Protocol event handlers. Each is gated to the modes where the
     // event is meaningful: duplicated frames (wire faults, probe
     // replays crossing the original) must not double-trigger.
-    protocol.setInterByteTimeout(cfg.interByteTimeout);
     protocol.handlers.assertFail = [this](std::uint16_t id) {
         if (mode != Mode::AwaitFrame)
             return;
@@ -172,7 +168,7 @@ EdbBoard::EdbBoard(sim::Simulator &simulator,
     };
 
     // Continuous energy sampling (passive mode backbone).
-    sim().schedule(now() + cfg.energySamplePeriod,
+    sim().schedule(now() + energySamplePeriod,
                    [this] { sampleEnergy(); });
 }
 
@@ -234,7 +230,7 @@ EdbBoard::sampleEnergy()
             wisp.mcu().raiseDebugIrq();
         } else if (!energyBkptArmed &&
                    reading >
-                       *energyBkptVolts + cfg.energyBkptHysteresis) {
+                       *energyBkptVolts + energyBkptHysteresis) {
             energyBkptArmed = true;
         }
     }
@@ -254,7 +250,7 @@ EdbBoard::sampleEnergy()
         pendingIrqReason = SessionReason::ConsistencyViolation;
         wisp.mcu().raiseDebugIrq();
     }
-    sim().schedule(now() + cfg.energySamplePeriod,
+    sim().schedule(now() + energySamplePeriod,
                    [this] { sampleEnergy(); });
 }
 
@@ -326,7 +322,7 @@ EdbBoard::onReqChange(bool level, sim::Tick when)
         if (mode != Mode::Passive)
             return;
         // Firmware edge-interrupt latency before active-mode entry.
-        reqHandlerEvent = sim().schedule(when + cfg.reqLatency,
+        reqHandlerEvent = sim().schedule(when + reqLatency,
                                          [this] { enterActive(); });
         return;
     }
@@ -373,7 +369,7 @@ EdbBoard::enterActive()
     ackRetries = 0;
     framesOkAtLastCheck = protocol.stats().framesOk;
     cancelWatchdog();
-    watchdogEvent = sim().schedule(now() + cfg.linkProbeTimeout,
+    watchdogEvent = sim().schedule(now() + linkProbeTimeout,
                                    [this] { episodeWatchdog(); });
     sendFrame({proto::ackActive});
 }
@@ -396,8 +392,8 @@ EdbBoard::episodeWatchdog()
             probesSent = 0;
         } else {
             unsigned budget = mode == Mode::GuardActive
-                                  ? cfg.guardProbeMax
-                                  : cfg.linkProbeMax;
+                                  ? guardProbeMax
+                                  : linkProbeMax;
             if (probesSent >= budget) {
                 // No frame ever survived: abandon the episode,
                 // restore whatever energy state we can, and re-arm.
@@ -419,7 +415,7 @@ EdbBoard::episodeWatchdog()
         // ackRestored frame was lost. Resend it a bounded number of
         // times, then force the episode closed.
         if (!charger.active() && reqHigh) {
-            if (ackRetries >= cfg.ackRetryMax) {
+            if (ackRetries >= ackRetryMax) {
                 lastAbortReason_ = "ack-restored-lost";
                 ++linkStats_.abortedEpisodes;
                 closeEpisode();
@@ -432,7 +428,7 @@ EdbBoard::episodeWatchdog()
         break;
     }
     if (mode != Mode::Passive) {
-        watchdogEvent = sim().schedule(now() + cfg.linkProbeTimeout,
+        watchdogEvent = sim().schedule(now() + linkProbeTimeout,
                                        [this] { episodeWatchdog(); });
     }
 }
@@ -560,7 +556,7 @@ EdbBoard::closeEpisode()
     // A new debug request may have been raised while this episode
     // was still restoring (e.g. back-to-back printfs); service it.
     if (reqHigh) {
-        reqHandlerEvent = sim().schedule(now() + cfg.reqLatency,
+        reqHandlerEvent = sim().schedule(now() + reqLatency,
                                          [this] { enterActive(); });
     }
 }
@@ -664,16 +660,16 @@ EdbBoard::sessionRead(std::uint32_t addr, std::uint16_t len,
         return std::nullopt;
     sim::Tick per_attempt = std::max<sim::Tick>(
         10 * sim::oneMs,
-        timeout / static_cast<sim::Tick>(cfg.readRetryMax + 1));
+        timeout / static_cast<sim::Tick>(readRetryMax + 1));
     std::vector<std::uint8_t> out;
     out.reserve(len);
     while (out.size() < len) {
         auto chunk = static_cast<std::uint16_t>(
-            std::min<std::size_t>(cfg.readChunk, len - out.size()));
+            std::min<std::size_t>(readChunk, len - out.size()));
         std::uint32_t at =
             addr + static_cast<std::uint32_t>(out.size());
         bool got = false;
-        for (unsigned attempt = 0; attempt <= cfg.readRetryMax;
+        for (unsigned attempt = 0; attempt <= readRetryMax;
              ++attempt) {
             if (attempt > 0)
                 ++linkStats_.readRetries;
@@ -715,10 +711,10 @@ EdbBoard::sessionWrite(std::uint32_t addr, std::uint32_t value,
         return false;
     sim::Tick per_attempt = std::max<sim::Tick>(
         10 * sim::oneMs,
-        timeout / static_cast<sim::Tick>(cfg.writeRetryMax + 1));
+        timeout / static_cast<sim::Tick>(writeRetryMax + 1));
     // Writes are idempotent (absolute address and value), so a lost
     // command or lost ack is safely retried.
-    for (unsigned attempt = 0; attempt <= cfg.writeRetryMax;
+    for (unsigned attempt = 0; attempt <= writeRetryMax;
          ++attempt) {
         if (attempt > 0)
             ++linkStats_.writeRetries;
@@ -756,7 +752,7 @@ EdbBoard::sessionResume()
     // (mode stays InSession): resend a bounded number of times. A
     // duplicate resume is harmless — the stale frame is drained by
     // the target's next ackActive wait.
-    for (unsigned attempt = 0; attempt <= cfg.resumeRetryMax;
+    for (unsigned attempt = 0; attempt <= resumeRetryMax;
          ++attempt) {
         if (attempt > 0)
             ++linkStats_.resumeRetries;

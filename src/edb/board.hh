@@ -44,45 +44,8 @@ namespace edb::edbdbg {
 /** EDB board configuration. */
 struct EdbConfig
 {
-    /** Passive energy-trace sampling period. */
-    sim::Tick energySamplePeriod = 1 * sim::oneMs;
-    /** Firmware latency from request-line edge to active-mode entry. */
-    sim::Tick reqLatency = 50 * sim::oneUs;
-    /** Tethered ("keep-alive") supply parameters. */
-    double tetherVolts = 3.0;
-    double tetherOhms = 50.0;
-    /** Rearm hysteresis for energy breakpoints. */
-    double energyBkptHysteresis = 0.05;
     EdbAdcConfig adc = {};
     ChargeCircuitConfig charge = {};
-    /** Model the passive pin leakages on the target supply. */
-    bool attachPassiveLeakage = true;
-
-    /// @name Link-robustness knobs
-    /// @{
-    /** Episode watchdog period: how long the board waits for frame
-     *  progress before probing the target with cmdStatus. */
-    sim::Tick linkProbeTimeout = 20 * sim::oneMs;
-    /** Fruitless probes while awaiting an event frame before the
-     *  episode is abandoned as link-dead. */
-    unsigned linkProbeMax = 5;
-    /** Probe budget inside an energy guard (guard bodies legitimately
-     *  run for a long time without traffic, so this is a backstop
-     *  against true deadlock, not a responsiveness bound). */
-    unsigned guardProbeMax = 500;
-    /** ackRestored retransmissions before the episode is forced
-     *  closed (the request line never fell). */
-    unsigned ackRetryMax = 5;
-    /** Per-command retry budgets for session reads/writes/resume. */
-    unsigned readRetryMax = 4;
-    unsigned writeRetryMax = 4;
-    unsigned resumeRetryMax = 4;
-    /** Largest single memory-read request (reply must fit one
-    frame). */
-    std::uint16_t readChunk = 48;
-    /** Host parser inter-byte resync timeout. */
-    sim::Tick interByteTimeout = 2 * sim::oneMs;
-    /// @}
 };
 
 /** Link-health counters for one board (see also ProtocolEngine
@@ -118,6 +81,40 @@ class EdbBoard : public sim::Component
     using PrintfSink = std::function<void(const std::string &)>;
     /** Session-opened notification. */
     using SessionHook = std::function<void(DebugSession &)>;
+
+    /** Passive energy-trace sampling period. */
+    static constexpr sim::Tick energySamplePeriod = 1 * sim::oneMs;
+    /** Firmware latency from request-line edge to active-mode entry. */
+    static constexpr sim::Tick reqLatency = 50 * sim::oneUs;
+    /** Tethered ("keep-alive") supply parameters. */
+    static constexpr double tetherVolts = 3.0;
+    static constexpr double tetherOhms = 50.0;
+    /** Rearm hysteresis for energy breakpoints. */
+    static constexpr double energyBkptHysteresis = 0.05;
+
+    /// @name Link robustness
+    /// @{
+    /** Episode watchdog period: how long the board waits for frame
+     *  progress before probing the target with cmdStatus. */
+    static constexpr sim::Tick linkProbeTimeout = 20 * sim::oneMs;
+    /** Fruitless probes while awaiting an event frame before the
+     *  episode is abandoned as link-dead. */
+    static constexpr unsigned linkProbeMax = 5;
+    /** Probe budget inside an energy guard (guard bodies legitimately
+     *  run for a long time without traffic, so this is a backstop
+     *  against true deadlock, not a responsiveness bound). */
+    static constexpr unsigned guardProbeMax = 500;
+    /** ackRestored retransmissions before the episode is forced
+     *  closed (the request line never fell). */
+    static constexpr unsigned ackRetryMax = 5;
+    /** Per-command retry budgets for session reads/writes/resume. */
+    static constexpr unsigned readRetryMax = 4;
+    static constexpr unsigned writeRetryMax = 4;
+    static constexpr unsigned resumeRetryMax = 4;
+    /** Largest single memory-read request (reply must fit one
+     *  frame). */
+    static constexpr std::uint16_t readChunk = 48;
+    /// @}
 
     /**
      * Attach EDB to a target.
@@ -210,7 +207,6 @@ class EdbBoard : public sim::Component
     ConnectionSet &connections() { return pins; }
     EdbAdc &adc() { return adc_; }
     ChargeCircuit &chargeCircuit() { return charger; }
-    const EdbConfig &config() const { return cfg; }
     bool tethered() const { return tether.enabled(); }
     bool passive() const { return mode == Mode::Passive; }
     std::uint64_t printfCount() const { return printfs; }
@@ -277,7 +273,6 @@ class EdbBoard : public sim::Component
 
     target::Wisp &wisp;
     rfid::RfChannel *rfChannel;
-    EdbConfig cfg;
     ConnectionSet pins;
     EdbAdc adc_;
     ChargeCircuit charger;

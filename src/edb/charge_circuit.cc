@@ -20,11 +20,11 @@ ChargeCircuit::ChargeCircuit(sim::Simulator &simulator,
               case Mode::Off:
                 return 0.0;
               case Mode::Charging: {
-                double i = (cfg.chargeVolts - v) / cfg.chargeOhms;
+                double i = (chargeVolts - v) / chargeOhms;
                 return i > 0.0 ? i : 0.0;
               }
               case Mode::Discharging:
-                return -(v / cfg.dischargeOhms);
+                return -(v / dischargeOhms);
             }
             return 0.0;
         });
@@ -69,8 +69,8 @@ ChargeCircuit::controlStep()
     // With a faulted supply the level may be unreachable; give up
     // rather than spin the control loop forever.
     ++iterations;
-    if (now() - rampStart >= cfg.rampDeadline ||
-        iterations >= cfg.maxIterations) {
+    if (now() - rampStart >= rampDeadline ||
+        iterations >= maxIterations) {
         ++deadlineAborts_;
         finish(RampResult::DeadlineExceeded);
         return;

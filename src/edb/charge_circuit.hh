@@ -31,12 +31,6 @@ namespace edb::edbdbg {
 /** Circuit and control-loop parameters. */
 struct ChargeCircuitConfig
 {
-    /** Rail driven through the low-pass filter when charging. */
-    double chargeVolts = 3.4;
-    /** Series resistance of the charge path. */
-    double chargeOhms = 1.0e3;
-    /** Resistive load used to discharge. */
-    double dischargeOhms = 680.0;
     /** Software control-loop iteration period. */
     sim::Tick loopPeriod = 200 * sim::oneUs;
     /**
@@ -46,14 +40,6 @@ struct ChargeCircuitConfig
      * of the Table 3 discrepancy.
      */
     double restoreStopMargin = 0.062;
-    /**
-     * Give up on a ramp after this long. With a faulted supply (RF
-     * fade, leak) the target level can be unreachable; an unbounded
-     * loop would spin the debugger forever (the hang this replaces).
-     */
-    sim::Tick rampDeadline = 1 * sim::oneSec;
-    /** Secondary bound on control-loop iterations. */
-    std::uint64_t maxIterations = 20'000;
 };
 
 /** How a ramp ended. */
@@ -68,6 +54,21 @@ class ChargeCircuit : public sim::Component
 {
   public:
     using DoneFn = std::function<void(RampResult)>;
+
+    /** Rail driven through the low-pass filter when charging. */
+    static constexpr double chargeVolts = 3.4;
+    /** Series resistance of the charge path. */
+    static constexpr double chargeOhms = 1.0e3;
+    /** Resistive load used to discharge. */
+    static constexpr double dischargeOhms = 680.0;
+    /**
+     * Give up on a ramp after this long. With a faulted supply (RF
+     * fade, leak) the target level can be unreachable; an unbounded
+     * loop would spin the debugger forever (the hang this replaces).
+     */
+    static constexpr sim::Tick rampDeadline = 1 * sim::oneSec;
+    /** Secondary bound on control-loop iterations. */
+    static constexpr std::uint64_t maxIterations = 20'000;
 
     ChargeCircuit(sim::Simulator &simulator, std::string component_name,
                   energy::PowerSystem &target_power, EdbAdc &adc,

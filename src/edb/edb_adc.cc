@@ -11,7 +11,7 @@ EdbAdc::EdbAdc(sim::Rng &rng_in, EdbAdcConfig config)
 double
 EdbAdc::lsbVolts() const
 {
-    return cfg.vrefVolts / static_cast<double>((1u << cfg.bits) - 1);
+    return vrefVolts / static_cast<double>((1u << cfg.bits) - 1);
 }
 
 std::uint32_t
@@ -21,7 +21,7 @@ EdbAdc::codeFor(double volts) const
         return 0;
     auto full = (1u << cfg.bits) - 1;
     auto code = static_cast<std::uint32_t>(
-        std::lround(volts / cfg.vrefVolts * full));
+        std::lround(volts / vrefVolts * full));
     return code > full ? full : code;
 }
 

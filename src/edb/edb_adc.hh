@@ -23,8 +23,6 @@ namespace edb::edbdbg {
 struct EdbAdcConfig
 {
     unsigned bits = 12;
-    /** Full-scale reference (4.096 V gives ~1 mV codes). */
-    double vrefVolts = 4.096;
     /** Input-referred gaussian noise sigma. */
     double noiseSigmaVolts = 1.5e-3;
 };
@@ -33,6 +31,9 @@ struct EdbAdcConfig
 class EdbAdc
 {
   public:
+    /** Full-scale reference (4.096 V gives ~1 mV codes). */
+    static constexpr double vrefVolts = 4.096;
+
     EdbAdc(sim::Rng &rng, EdbAdcConfig config = {});
 
     /** Digitize a voltage: returns the code. */

@@ -114,6 +114,9 @@ class ProtocolEngine
     std::size_t expected = 0;
     std::uint8_t runningCrc = 0;
     sim::Tick lastByteAt = 0;
+    /** The EDB board's host parser and each debug-server client
+     *  parser keep this default (on the server it is the slowloris
+     *  defense, so it must stay shorter than the fleet epoch). */
     sim::Tick interByteTimeout = 2 * sim::oneMs;
     Stats stats_;
 };

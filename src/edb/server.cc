@@ -522,13 +522,12 @@ DebugServer::connect(const std::string &client_name)
         if (!s->terminal())
             ++live;
     }
-    if (live >= cfg.maxClients)
+    if (live >= maxClients)
         return nullptr;
     auto s = std::make_unique<Session>();
     s->id = nextSessionId++;
     s->name = client_name;
     s->wire = std::make_unique<ClientWire>(cfg.maxQueuedBytes);
-    s->parser.setInterByteTimeout(cfg.interByteTimeout);
     s->lastFrameAt = fleet_.now();
     s->rpt.sessionId = s->id;
     s->rpt.client = client_name;
@@ -846,7 +845,7 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
                 err("cond");
             } else {
                 auto [it, fresh] =
-                    probes.try_emplace(s.world, cfg.maxHitsPerWorld);
+                    probes.try_emplace(s.world, maxHitsPerWorld);
                 if (fresh)
                     it->second.install(wisp);
                 VirtualBreakpoint bp;
@@ -914,8 +913,8 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
         auto addr = addrArg(req);
         std::size_t len = static_cast<std::size_t>(
             req.getUint("len").value_or(4));
-        if (len > cfg.readChunkMax)
-            len = cfg.readChunkMax;
+        if (len > readChunkMax)
+            len = readChunkMax;
         const std::uint8_t *base = nullptr;
         if (addr) {
             const mem::Addr a = *addr;
@@ -1050,7 +1049,7 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
         auto data = req.getStr("d");
         if (!addr || !data || data->empty() ||
             data->size() % 2 != 0 ||
-            data->size() / 2 > cfg.readChunkMax) {
+            data->size() / 2 > readChunkMax) {
             err("args");
             enqueueReply(s, o.str());
             return;
@@ -1196,11 +1195,11 @@ DebugServer::flushOutboxes()
             // Bounded retries with exponential backoff, then shed.
             ++s.deliveryRetries;
             ++s.rpt.deliveryRetries;
-            if (s.deliveryRetries > cfg.deliveryRetryMax) {
+            if (s.deliveryRetries > deliveryRetryMax) {
                 terminate(s, SessionOutcome::Shed, "backpressure");
             } else {
                 s.nextDeliveryAt =
-                    now + (cfg.deliveryBackoffBase
+                    now + (deliveryBackoffBase
                            << (s.deliveryRetries - 1));
             }
         }

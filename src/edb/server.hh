@@ -178,7 +178,6 @@ class ClientWire
 /** Supervision and resource knobs. */
 struct ServerConfig
 {
-    std::size_t maxClients = 32;
     /** Per-direction wire queue capacity (bytes). */
     std::size_t maxQueuedBytes = 2048;
     /** Parsed commands queued per session; overflow answers
@@ -192,22 +191,10 @@ struct ServerConfig
     sim::Tick idleTimeout = 200 * sim::oneMs;
     /** Unanswered ping probes before the session is aborted. */
     unsigned maxProbes = 3;
-    /** Outbound delivery retries before a non-draining client is
-     *  shed (each retry backs off exponentially). */
-    unsigned deliveryRetryMax = 4;
-    /** First retry delay; doubles per attempt. */
-    sim::Tick deliveryBackoffBase = 5 * sim::oneMs;
-    /** Inter-byte resync timeout on each client parser (slowloris
-     *  defense; must be shorter than the fleet epoch). */
-    sim::Tick interByteTimeout = 2 * sim::oneMs;
     /** Breakpoint-evaluation budget per poll (0 = unlimited); when
      *  exceeded the heaviest sessions are shed. */
     std::uint64_t evalBudgetPerPoll = 0;
     std::size_t maxBreakpointsPerSession = 16;
-    /** Pending-hit buffer per world (overflow counts, never grows). */
-    std::size_t maxHitsPerWorld = 256;
-    /** Max bytes per `read` command reply chunk. */
-    std::size_t readChunkMax = 64;
     /** Symbols returned per `symbols` page. */
     std::size_t symbolsPerPage = 4;
 };
@@ -270,6 +257,21 @@ class DebugServer
         std::uint64_t interferenceViolations = 0;
         std::uint64_t oversizeReplies = 0;
     };
+
+    /// @name Supervision constants
+    /// @{
+    /** Concurrently attached clients; `connect` refuses more. */
+    static constexpr std::size_t maxClients = 32;
+    /** Outbound delivery retries before a non-draining client is
+     *  shed (each retry backs off exponentially). */
+    static constexpr unsigned deliveryRetryMax = 4;
+    /** First retry delay; doubles per attempt. */
+    static constexpr sim::Tick deliveryBackoffBase = 5 * sim::oneMs;
+    /** Pending-hit buffer per world (overflow counts, never grows). */
+    static constexpr std::size_t maxHitsPerWorld = 256;
+    /** Max bytes per `read` command reply chunk. */
+    static constexpr std::size_t readChunkMax = 64;
+    /// @}
 
     DebugServer(fleet::Fleet &fleet, ServerConfig config = {});
     ~DebugServer();

@@ -24,7 +24,6 @@ PowerSystem::PowerSystem(sim::Simulator &simulator,
         sim::fatal("PowerSystem: harvester must not be null");
     powered = cap.voltage() >= cfg.turnOnVolts;
     lastUpdate = simulator.now();
-    maxStepSeconds = sim::secondsFromTicks(cfg.maxStep);
     noiseEnabled = cfg.harvestNoiseSigma > 0.0;
     refreshFlatSource();
 }
@@ -49,7 +48,7 @@ void
 PowerSystem::tick()
 {
     advanceTo(now());
-    tickDueAt = now() + cfg.idleTickPeriod;
+    tickDueAt = now() + idleTickPeriod;
     tickEvent = sim().schedule(tickDueAt, [this] { tick(); });
 }
 
@@ -120,11 +119,11 @@ PowerSystem::advanceTo(sim::Tick when)
     sim::Tick t = lastUpdate;
     const bool fast = cfg.engine == Engine::Fast;
     while (t < when) {
-        sim::Tick step = std::min<sim::Tick>(cfg.maxStep, when - t);
+        sim::Tick step = std::min<sim::Tick>(maxStep, when - t);
         // Full-size sub-steps reuse the hoisted conversion; only the
         // final partial step pays the divide. Identical value either
         // way.
-        double step_sec = fast && step == cfg.maxStep
+        double step_sec = fast && step == maxStep
                               ? maxStepSeconds
                               : sim::secondsFromTicks(step);
         integrateStep(step_sec, sim::secondsFromTicks(t));

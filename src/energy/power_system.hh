@@ -88,10 +88,6 @@ struct PowerSystemConfig
      * program loop the way an ideal constant source would.
      */
     double harvestNoiseSigma = 0.05;
-    /** Integration sub-step ceiling. */
-    sim::Tick maxStep = 5 * sim::oneUs;
-    /** Self-tick period that keeps the model advancing while idle. */
-    sim::Tick idleTickPeriod = 20 * sim::oneUs;
     /**
      * Simulation engine of the world this power system belongs to.
      * The MCU reads it from here (see Mcu's constructor), so the
@@ -109,6 +105,11 @@ class PowerSystem : public sim::Component
   public:
     using LoadHandle = std::size_t;
     using SourceHandle = std::size_t;
+
+    /** Integration sub-step ceiling. */
+    static constexpr sim::Tick maxStep = 5 * sim::oneUs;
+    /** Self-tick period that keeps the model advancing while idle. */
+    static constexpr sim::Tick idleTickPeriod = 20 * sim::oneUs;
     /** Signed current into the capacitor, amps, as f(volts, seconds). */
     using SourceFn = std::function<double(double, double)>;
     /** Power-state listener: called with true on turn-on, false on
@@ -175,7 +176,7 @@ class PowerSystem : public sim::Component
     {
         if (integrating || dt <= 0)
             return;
-        if (dt > cfg.maxStep) {
+        if (dt > maxStep) {
             advanceTo(lastUpdate + dt);
             return;
         }
@@ -361,8 +362,9 @@ class PowerSystem : public sim::Component
     /** Cached sum of enabled load currents (fast engine). */
     mutable double loadSum = 0.0;
     mutable bool loadSumValid = false;
-    /** secondsFromTicks(cfg.maxStep), hoisted out of advanceTo. */
-    double maxStepSeconds = 0.0;
+    /** secondsFromTicks(maxStep), hoisted out of advanceTo. */
+    static constexpr double maxStepSeconds =
+        sim::secondsFromTicks(maxStep);
     bool noiseEnabled = false;
     /** Harvester devirtualization (see refreshFlatSource). */
     bool flatSource = false;

@@ -9,8 +9,7 @@ namespace edb::fleet {
 
 Fleet::Fleet(FleetConfig config, FirmwareFn firmware)
     : cfg(config), pool_(config.threads),
-      arbiter_(config.env,
-               sim::deriveSeed(config.seed, arbiterStream)),
+      arbiter_({}, sim::deriveSeed(config.seed, arbiterStream)),
       sink_(/*keep_last=*/64)
 {
     if (!firmware)
@@ -72,10 +71,7 @@ Fleet::buildWorlds(const FirmwareFn &firmware)
         WorldConfig wc;
         wc.id = i;
         wc.seed = sim::deriveSeed(cfg.seed, worldStream + i);
-        wc.txPowerDbm = cfg.env.txPowerDbm;
-        wc.distanceM = placement.uniform(cfg.env.minDistanceM,
-                                         cfg.env.maxDistanceM);
-        wc.collisionBackoff = cfg.env.collisionBackoff;
+        wc.distanceM = placement.uniform(minDistanceM, maxDistanceM);
         wc.wisp = cfg.wisp;
         wc.wisp.mcu.checkpointingEnabled = fw.checkpointing;
         if (fw.capacitanceF > 0.0)
@@ -105,7 +101,7 @@ Fleet::runEpochs(unsigned epochs)
 
         // Phase 1 (sequential): stage carrier windows.
         for (auto &w : worlds)
-            w->planEpoch(clock, epochEnd, cfg.env.dutyCycle);
+            w->planEpoch(clock, epochEnd, dutyCycle);
 
         // Phase 2 (parallel): advance every world to the barrier.
         for (std::size_t i = 0; i < worlds.size(); ++i) {

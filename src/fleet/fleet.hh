@@ -89,8 +89,6 @@ struct FleetConfig
     std::uint64_t seed = 1;
     /** Epoch length (the determinism barrier period). */
     sim::Tick epochLength = 5 * sim::oneMs;
-    /** Shared RF environment. */
-    rfid::RfEnvConfig env = {};
     /** Base target configuration (per-world copies). */
     target::WispConfig wisp = {};
     /** Attach the WAR auditor to every world. */
@@ -156,6 +154,15 @@ class Fleet
     static constexpr std::uint64_t worldStream = 0x10000;
     static constexpr std::uint64_t arbiterStream = 1;
     static constexpr std::uint64_t distanceStream = 2;
+    /// @}
+
+    /// @name Shared RF environment (see also World::txPowerDbm)
+    /// @{
+    /** Fraction of each epoch the carrier illuminates the field. */
+    static constexpr double dutyCycle = 0.85;
+    /** Tag-to-reader distance distribution (uniform in [min, max]). */
+    static constexpr double minDistanceM = 0.6;
+    static constexpr double maxDistanceM = 2.4;
     /// @}
 
   private:

@@ -20,7 +20,7 @@ bootableWisp(target::WispConfig config)
 
 World::World(const isa::Program &program, const WorldConfig &config)
     : cfg(config), sim(config.seed),
-      harvester(config.txPowerDbm, config.distanceM),
+      harvester(txPowerDbm, config.distanceM),
       wisp_(std::make_unique<target::Wisp>(sim, "wisp", &harvester,
                                            nullptr,
                                            bootableWisp(config.wisp)))
@@ -79,7 +79,7 @@ World::planEpoch(sim::Tick epoch_start, sim::Tick epoch_end,
     instrsAtEpochStart = instrCount();
     double frac = carrier_fraction;
     if (backoff) {
-        frac *= 1.0 - cfg.collisionBackoff;
+        frac *= 1.0 - collisionBackoff;
         backoff = false;
     }
     if (frac <= 0.0) {

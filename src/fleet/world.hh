@@ -40,13 +40,8 @@ struct WorldConfig
     std::uint32_t id = 0;
     /** Derived world seed (sim::deriveSeed(fleetSeed, id)). */
     std::uint64_t seed = 1;
-    /** Reader transmit power seen by this tag. */
-    double txPowerDbm = 30.0;
     /** This tag's distance to the reader. */
     double distanceM = 1.0;
-    /** Carrier fraction lost to re-arbitration after a collision
-     *  (RfEnvConfig::collisionBackoff, copied in by the fleet). */
-    double collisionBackoff = 0.5;
     /** Target device configuration. */
     target::WispConfig wisp = {};
     /** Attach the WAR consistency auditor. */
@@ -74,6 +69,17 @@ struct WorldDigest
 class World
 {
   public:
+    /** Reader transmit power seen by every tag (paper setup:
+     *  30 dBm). */
+    static constexpr double txPowerDbm = 30.0;
+    /**
+     * Post-collision backoff: a collided tag loses this fraction of
+     * the next epoch's carrier (the reader spends it re-arbitrating
+     * with others), coupling channel contention back into the energy
+     * model.
+     */
+    static constexpr double collisionBackoff = 0.5;
+
     World(const isa::Program &program, const WorldConfig &config);
 
     /** Begin execution; call once. */

@@ -13,6 +13,11 @@ namespace {
 
 using sim::Rng;
 
+/** Forced brown-outs per generated schedule (uniform in
+ *  [minBrownOuts, maxBrownOuts]). */
+constexpr unsigned minBrownOuts = 1;
+constexpr unsigned maxBrownOuts = 4;
+
 /*
  * Register classes. Data registers may hold values loaded from
  * memory (and so may carry auditor taint); they are never used as a
@@ -293,12 +298,12 @@ makeElement(Rng &rng, bool checkpointing)
 }
 
 std::vector<sim::BrownOut>
-makeSchedule(Rng &rng, sim::Tick horizon, unsigned minN, unsigned maxN)
+makeSchedule(Rng &rng, sim::Tick horizon)
 {
     std::vector<sim::BrownOut> out;
     unsigned n = static_cast<unsigned>(
-        rng.uniformInt(static_cast<std::int64_t>(minN),
-                       static_cast<std::int64_t>(maxN)));
+        rng.uniformInt(static_cast<std::int64_t>(minBrownOuts),
+                       static_cast<std::int64_t>(maxBrownOuts)));
     sim::Tick lo = horizon / 8;
     sim::Tick hi = (horizon * 7) / 8;
     for (unsigned i = 0; i < n; ++i) {
@@ -410,7 +415,6 @@ generateCase(std::uint64_t seed, const GeneratorOptions &options)
     spec.worldSeed =
         static_cast<std::uint64_t>(rng.uniformInt(1, 1 << 30));
     spec.checkpointing = rng.chance(0.7);
-    spec.horizon = options.horizon;
 
     // A removable init element seeding the data registers.
     std::vector<std::string> init;
@@ -424,14 +428,12 @@ generateCase(std::uint64_t seed, const GeneratorOptions &options)
     for (unsigned i = 0; i < n; ++i)
         spec.elements.push_back(makeElement(rng, spec.checkpointing));
 
-    spec.schedule = makeSchedule(rng, spec.horizon, options.minBrownOuts,
-                                 options.maxBrownOuts);
+    spec.schedule = makeSchedule(rng, spec.horizon);
     return spec;
 }
 
 CaseSpec
-mutateCase(const CaseSpec &base, std::uint64_t seed,
-           const GeneratorOptions &options)
+mutateCase(const CaseSpec &base, std::uint64_t seed)
 {
     Rng rng(seed ^ 0x6D757461ULL); // "muta"
     CaseSpec spec = base;
@@ -467,9 +469,7 @@ mutateCase(const CaseSpec &base, std::uint64_t seed,
             break;
           }
           case 4: // regenerate the brown-out schedule
-            spec.schedule =
-                makeSchedule(rng, spec.horizon, options.minBrownOuts,
-                             options.maxBrownOuts);
+            spec.schedule = makeSchedule(rng, spec.horizon);
             break;
           case 5: // new world seed (different harvest noise)
             spec.worldSeed = static_cast<std::uint64_t>(

@@ -98,9 +98,6 @@ struct GeneratorOptions
 {
     unsigned minElements = 8;
     unsigned maxElements = 26;
-    unsigned minBrownOuts = 1;
-    unsigned maxBrownOuts = 4;
-    sim::Tick horizon = 40 * sim::oneMs;
 };
 
 /** Generate a fresh case from a seed (deterministic). */
@@ -108,8 +105,7 @@ CaseSpec generateCase(std::uint64_t seed,
                       const GeneratorOptions &options = {});
 
 /** Mutate an existing case (deterministic in `seed`). */
-CaseSpec mutateCase(const CaseSpec &base, std::uint64_t seed,
-                    const GeneratorOptions &options = {});
+CaseSpec mutateCase(const CaseSpec &base, std::uint64_t seed);
 
 /** Render the spec to assembly source (the clean program). */
 std::string renderProgram(const CaseSpec &spec);

@@ -57,16 +57,14 @@ writeListing(std::ostream &os, const Program &program,
     for (const auto &[name, value] : program.symbols)
         by_addr.emplace(value, name);
 
-    if (options.symbolTable) {
-        std::ostringstream hdr;
-        hdr << "; entry 0x" << std::hex << program.entry;
-        if (program.irqHandler)
-            hdr << ", irq 0x" << program.irqHandler;
-        hdr << std::dec << ", " << program.totalBytes() << " bytes in "
-            << program.segments.size() << " segment(s)";
-        if (!emit(hdr.str()))
-            return lines;
-    }
+    std::ostringstream hdr;
+    hdr << "; entry 0x" << std::hex << program.entry;
+    if (program.irqHandler)
+        hdr << ", irq 0x" << program.irqHandler;
+    hdr << std::dec << ", " << program.totalBytes() << " bytes in "
+        << program.segments.size() << " segment(s)";
+    if (!emit(hdr.str()))
+        return lines;
 
     for (const auto &seg : program.segments) {
         {
@@ -87,8 +85,7 @@ writeListing(std::ostream &os, const Program &program,
             for (int b = 0; b < 4; ++b) {
                 word |= std::uint32_t(seg.bytes[i + b]) << (8 * b);
             }
-            if (!emit(listingLine(addr, word,
-                                  options.decodeInstructions)))
+            if (!emit(listingLine(addr, word)))
                 return lines;
         }
     }

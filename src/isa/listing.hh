@@ -24,10 +24,6 @@ namespace edb::isa {
 /** Listing options. */
 struct ListingOptions
 {
-    /** Try to decode words as instructions (else raw data). */
-    bool decodeInstructions = true;
-    /** Include a symbol cross-reference header. */
-    bool symbolTable = true;
     /** Limit emitted lines (0 = no limit). */
     std::size_t maxLines = 0;
 };

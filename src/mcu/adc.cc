@@ -8,14 +8,12 @@
 namespace edb::mcu {
 
 Adc::Adc(sim::Simulator &simulator, std::string component_name,
-         sim::TimeCursor &time_cursor, energy::PowerSystem &power_sys,
-         AdcConfig config)
+         sim::TimeCursor &time_cursor, energy::PowerSystem &power_sys)
     : sim::Component(simulator, std::move(component_name)),
       cursor(time_cursor),
-      power(power_sys),
-      cfg(config)
+      power(power_sys)
 {
-    convLoad = power.addLoad(name() + ".conv", cfg.conversionAmps, false);
+    convLoad = power.addLoad(name() + ".conv", conversionAmps, false);
 }
 
 void
@@ -51,7 +49,7 @@ Adc::quantize(double volts) const
 {
     if (volts <= 0.0)
         return 0;
-    double code = volts / cfg.vrefVolts *
+    double code = volts / vrefVolts *
                   static_cast<double>(fullScale());
     auto q = static_cast<std::uint32_t>(std::lround(code));
     return q > fullScale() ? fullScale() : q;
@@ -66,8 +64,8 @@ Adc::start(unsigned channel)
     done = false;
     curChannel = channel;
     power.setLoadEnabled(convLoad, true);
-    convDueAt = cursor.now() + cfg.conversionTime;
-    convEvent = cursor.scheduleIn(cfg.conversionTime,
+    convDueAt = cursor.now() + conversionTime;
+    convEvent = cursor.scheduleIn(conversionTime,
                                   [this] { finish(); });
 }
 

@@ -31,17 +31,6 @@ class EventRearmer;
 
 namespace edb::mcu {
 
-/** Configuration of the target's on-chip ADC. */
-struct AdcConfig
-{
-    unsigned bits = 12;
-    double vrefVolts = 3.0;
-    /** Conversion time (sample + hold + convert). */
-    sim::Tick conversionTime = 20 * sim::oneUs;
-    /** Extra supply current during a conversion. */
-    double conversionAmps = 0.25e-3;
-};
-
 /** Successive-approximation ADC with registered analog channels. */
 class Adc : public sim::Component
 {
@@ -49,9 +38,17 @@ class Adc : public sim::Component
     /** Analog channel source: returns volts at sample time. */
     using ChannelFn = std::function<double()>;
 
+    /** Resolution. */
+    static constexpr unsigned bits = 12;
+    /** Full-scale reference (runtime::adcCodeForVolts's default). */
+    static constexpr double vrefVolts = 3.0;
+    /** Conversion time (sample + hold + convert). */
+    static constexpr sim::Tick conversionTime = 20 * sim::oneUs;
+    /** Extra supply current during a conversion. */
+    static constexpr double conversionAmps = 0.25e-3;
+
     Adc(sim::Simulator &simulator, std::string component_name,
-        sim::TimeCursor &cursor, energy::PowerSystem &power,
-        AdcConfig config = {});
+        sim::TimeCursor &cursor, energy::PowerSystem &power);
 
     /** Install CTRL/STATUS/VALUE registers. */
     void installMmio(mem::MmioRegion &mmio);
@@ -63,7 +60,7 @@ class Adc : public sim::Component
     std::uint32_t quantize(double volts) const;
 
     /** Full-scale code. */
-    std::uint32_t fullScale() const { return (1u << cfg.bits) - 1; }
+    static constexpr std::uint32_t fullScale() { return (1u << bits) - 1; }
 
     /** Abort any conversion (reboot). */
     void powerLost();
@@ -81,7 +78,6 @@ class Adc : public sim::Component
 
     sim::TimeCursor &cursor;
     energy::PowerSystem &power;
-    AdcConfig cfg;
     energy::PowerSystem::LoadHandle convLoad;
     std::map<unsigned, ChannelFn> channels;
     unsigned curChannel = 0;

@@ -15,7 +15,7 @@ DebugPort::DebugPort(sim::Simulator &simulator,
       cursor(time_cursor),
       cfg(config),
       dbgUart(simulator, component_name + ".uart", time_cursor,
-              power_sys, config.uart)
+              power_sys, uartTxAmps)
 {
     if (cfg.markerLines == 0 || cfg.markerLines > 16)
         sim::fatal("DebugPort: marker lines must be in 1..16");

@@ -33,9 +33,6 @@ struct DebugPortConfig
 {
     /** Number of GPIO lines allocated to code markers. */
     unsigned markerLines = 4;
-    /** Debug UART parameters (shared link with the EDB board; the
-     *  level-shifted buffer on this link is low-drive). */
-    UartConfig uart = {115200.0, 0.8e-3, 10.0, 16};
 };
 
 /** Target-side half of the EDB wiring. */
@@ -46,6 +43,10 @@ class DebugPort : public sim::Component
     using MarkerListener = std::function<void(std::uint32_t, sim::Tick)>;
     /** Debug-request line change: (level, when). */
     using ReqListener = std::function<void(bool, sim::Tick)>;
+
+    /** Debug UART transmit current (shared link with the EDB board;
+     *  the level-shifted buffer on this link is low-drive). */
+    static constexpr double uartTxAmps = 0.8e-3;
 
     DebugPort(sim::Simulator &simulator, std::string component_name,
               sim::TimeCursor &cursor, energy::PowerSystem &power,

@@ -8,21 +8,19 @@ namespace edb::mcu {
 I2cController::I2cController(sim::Simulator &simulator,
                              std::string component_name,
                              sim::TimeCursor &time_cursor,
-                             energy::PowerSystem &power_sys,
-                             I2cConfig config)
+                             energy::PowerSystem &power_sys)
     : sim::Component(simulator, std::move(component_name)),
       cursor(time_cursor),
-      power(power_sys),
-      cfg(config)
+      power(power_sys)
 {
-    busLoad = power.addLoad(name() + ".bus", cfg.busActiveAmps, false);
+    busLoad = power.addLoad(name() + ".bus", busActiveAmps, false);
 }
 
 sim::Tick
 I2cController::transactionTime() const
 {
     // 9 clocks per wire byte (8 data + ack).
-    double seconds = cfg.bytesPerTransaction * 9.0 / cfg.clockHz;
+    double seconds = bytesPerTransaction * 9.0 / clockHz;
     return sim::ticksFromSeconds(seconds);
 }
 

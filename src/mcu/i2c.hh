@@ -45,16 +45,6 @@ class I2cDevice
     virtual void writeReg(std::uint8_t reg, std::uint8_t value) = 0;
 };
 
-/** Configuration of the I2C master. */
-struct I2cConfig
-{
-    double clockHz = 400e3;
-    /** Wire bytes per register transaction (addr, reg, data + acks). */
-    double bytesPerTransaction = 4.0;
-    /** Extra supply current while a transaction is on the bus. */
-    double busActiveAmps = 0.5e-3;
-};
-
 /**
  * Register-transaction I2C master with a passive sniffer interface.
  */
@@ -65,9 +55,15 @@ class I2cController : public sim::Component
     using Sniffer = std::function<void(std::uint8_t, std::uint8_t,
                                        std::uint8_t, bool, sim::Tick)>;
 
+    /** Bus clock. */
+    static constexpr double clockHz = 400e3;
+    /** Wire bytes per register transaction (addr, reg, data + acks). */
+    static constexpr double bytesPerTransaction = 4.0;
+    /** Extra supply current while a transaction is on the bus. */
+    static constexpr double busActiveAmps = 0.5e-3;
+
     I2cController(sim::Simulator &simulator, std::string component_name,
-                  sim::TimeCursor &cursor, energy::PowerSystem &power,
-                  I2cConfig config = {});
+                  sim::TimeCursor &cursor, energy::PowerSystem &power);
 
     /** Install ADDR/REG/DATA/CTRL/STATUS registers. */
     void installMmio(mem::MmioRegion &mmio);
@@ -101,7 +97,6 @@ class I2cController : public sim::Component
 
     sim::TimeCursor &cursor;
     energy::PowerSystem &power;
-    I2cConfig cfg;
     energy::PowerSystem::LoadHandle busLoad;
     std::vector<I2cDevice *> devices;
     std::vector<Sniffer> sniffers;

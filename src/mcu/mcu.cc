@@ -64,11 +64,9 @@ Mcu::Mcu(sim::Simulator &simulator, std::string component_name,
       cfg(config),
       fast_(power_sys.config().engine == energy::Engine::Fast)
 {
-    cyclePeriod_ = sim::ticksFromSeconds(1.0 / cfg.clockHz);
     chkptEnabled = cfg.checkpointingEnabled;
-    coreLoad = power.addLoad(name() + ".core", cfg.activeAmps, false);
+    coreLoad = power.addLoad(name() + ".core", activeAmps, false);
     power.addPowerListener([this](bool on) { onPowerChange(on); });
-    powerMaxStep_ = power.config().maxStep;
     mem_.setFindCacheEnabled(fast_);
 }
 
@@ -102,7 +100,7 @@ Mcu::installMmio(mem::MmioRegion &mmio)
         [this](std::uint32_t v) {
             sleepCycles = v;
             if (sleepCycles > 0)
-                power.setLoadCurrent(coreLoad, cfg.sleepAmps);
+                power.setLoadCurrent(coreLoad, sleepAmps);
         });
 }
 
@@ -198,11 +196,11 @@ Mcu::classifyCost(isa::Opcode op, unsigned &cyc, InstrClass &cls) const
       case isa::Opcode::Callr:
       case isa::Opcode::Ret:
       case isa::Opcode::Reti:
-        cyc += cfg.memExtraCycles;
+        cyc += memExtraCycles;
         break;
       case isa::Opcode::Stw:
       case isa::Opcode::Stb:
-        cyc += cfg.memExtraCycles;
+        cyc += memExtraCycles;
         cls = InstrClass::Store;
         break;
       case isa::Opcode::Chkpt:
@@ -218,7 +216,7 @@ Mcu::invalidateCheckpoints()
 {
     for (int slot = 0; slot < 2; ++slot) {
         mem::Addr base =
-            cfg.checkpointBase + slot * cfg.checkpointSlotSize;
+            checkpointBase + slot * checkpointSlotSize;
         mem_.write32(base + ckMagicOff, 0);
         mem_.write32(base + ckSeqOff, 0);
     }
@@ -229,10 +227,10 @@ Mcu::onPowerChange(bool on)
 {
     if (on) {
         state_ = McuState::Booting;
-        power.setLoadCurrent(coreLoad, cfg.activeAmps);
+        power.setLoadCurrent(coreLoad, activeAmps);
         power.setLoadEnabled(coreLoad, true);
-        bootDueAt = cursor.now() + cfg.bootDelay;
-        bootEvent = cursor.scheduleIn(cfg.bootDelay, [this] { boot(); });
+        bootDueAt = cursor.now() + bootDelay;
+        bootEvent = cursor.scheduleIn(bootDelay, [this] { boot(); });
         return;
     }
     // Brown-out: volatile state is lost; the board reset hook poisons
@@ -270,13 +268,13 @@ Mcu::boot()
     fault_ = McuFault::None;
     inIrq = false;
     sleepCycles = 0;
-    regs[isa::regSp] = cfg.stackTop;
+    regs[isa::regSp] = stackTop;
     pc_ = entry;
     state_ = McuState::Running;
     ++reboots;
     if (audit_)
         audit_->onBoot(cursor.now());
-    power.setLoadCurrent(coreLoad, cfg.activeAmps);
+    power.setLoadCurrent(coreLoad, activeAmps);
     power.setLoadEnabled(coreLoad, true);
     if (chkptEnabled)
         tryRestore();
@@ -291,7 +289,7 @@ Mcu::runSlice()
     if (state_ != McuState::Running)
         return;
     sim::Tick t = std::max(now(), cursor.now());
-    sim::Tick end = t + cfg.sliceQuantum;
+    sim::Tick end = t + sliceQuantum;
     if (!fast_) {
         // Reference path: peek the event queue before every
         // instruction.
@@ -348,7 +346,7 @@ Mcu::step(sim::Tick &t)
             std::uint64_t chunk = std::min<std::uint64_t>(
                 sleepCycles, 200); // 50 us at 4 MHz
             sim::Tick dt =
-                static_cast<sim::Tick>(chunk) * cyclePeriod_;
+                static_cast<sim::Tick>(chunk) * cycleTicks;
             power.advanceTo(t + dt);
             if (state_ != McuState::Running)
                 return false;
@@ -358,7 +356,7 @@ Mcu::step(sim::Tick &t)
             sleepCycles -= chunk;
         }
         if (sleepCycles == 0)
-            power.setLoadCurrent(coreLoad, cfg.activeAmps);
+            power.setLoadCurrent(coreLoad, activeAmps);
         return true;
     }
 
@@ -411,7 +409,7 @@ Mcu::step(sim::Tick &t)
                 icache_[idx] = CachedInstr{
                     fetched, cyc,
                     sim::secondsFromTicks(
-                        static_cast<sim::Tick>(cyc) * cyclePeriod_),
+                        static_cast<sim::Tick>(cyc) * cycleTicks),
                     cls};
                 icacheValid_[idx] = 1;
             }
@@ -455,8 +453,8 @@ Mcu::step(sim::Tick &t)
 
     // Drain the supply across the instruction; a brown-out mid
     // instruction kills it before it commits.
-    sim::Tick dt = static_cast<sim::Tick>(cyc) * cyclePeriod_;
-    if (fast_ && dt <= powerMaxStep_ &&
+    sim::Tick dt = static_cast<sim::Tick>(cyc) * cycleTicks;
+    if (fast_ && dt <= energy::PowerSystem::maxStep &&
         power.lastUpdateTick() == t) {
         if (!have_dt_sec)
             dt_sec = sim::secondsFromTicks(dt);
@@ -488,12 +486,12 @@ Mcu::step(sim::Tick &t)
     // Debug interrupt, taken at instruction boundaries.
     if (irqLine && !inIrq && irqHandler != 0) {
         sim::Tick idt =
-            static_cast<sim::Tick>(cfg.irqEntryCycles) * cyclePeriod_;
+            static_cast<sim::Tick>(irqEntryCycles) * cycleTicks;
         power.advanceTo(t + idt);
         if (state_ != McuState::Running)
             return false;
         cursor.advance(t + idt);
-        cycles += cfg.irqEntryCycles;
+        cycles += irqEntryCycles;
         t += idt;
         enterIrq();
         if (state_ != McuState::Running)
@@ -537,7 +535,7 @@ Mcu::execute(const isa::Instr &i, sim::Tick)
         break;
       case Opcode::Halt:
         state_ = McuState::Halted;
-        power.setLoadCurrent(coreLoad, cfg.haltAmps);
+        power.setLoadCurrent(coreLoad, haltAmps);
         break;
       case Opcode::Li:
         regs[i.rd] = uimm;
@@ -772,7 +770,7 @@ unsigned
 Mcu::checkpointCostCycles() const
 {
     mem::Addr sp = regs[isa::regSp];
-    mem::Addr stack_bytes = sp <= cfg.stackTop ? cfg.stackTop - sp : 0;
+    mem::Addr stack_bytes = sp <= stackTop ? stackTop - sp : 0;
     return checkpointCostCyclesFor(stack_bytes);
 }
 
@@ -782,7 +780,7 @@ Mcu::checkpointCostCyclesFor(std::uint32_t stack_bytes) const
     unsigned words = 22 + stack_bytes / 4;
     if (cfg.commitDiscipline == CommitDiscipline::Sealed)
         ++words; // the seal word
-    return words * (1 + cfg.memExtraCycles + cfg.framWriteExtraCycles);
+    return words * (1 + memExtraCycles + cfg.framWriteExtraCycles);
 }
 
 Mcu::CostQuote
@@ -826,16 +824,16 @@ Mcu::frameCrcAt(mem::Addr base, std::uint32_t stack_bytes,
 bool
 Mcu::slotSealed(int slot, std::uint32_t &seq_out) const
 {
-    mem::Addr base = cfg.checkpointBase + slot * cfg.checkpointSlotSize;
+    mem::Addr base = checkpointBase + slot * checkpointSlotSize;
     if (debugRead32(base + ckMagicOff) != ckMagic)
         return false;
     std::uint32_t seq = debugRead32(base + ckSeqOff);
     std::uint32_t sp = debugRead32(base + ckSpOff);
     std::uint32_t stack_bytes = debugRead32(base + ckStackLenOff);
-    if (sp > cfg.stackTop ||
-        ckStackOff + stack_bytes > cfg.checkpointSlotSize ||
+    if (sp > stackTop ||
+        ckStackOff + stack_bytes > checkpointSlotSize ||
         runtime::ckfmt::sealOff(stack_bytes) + 4 >
-            cfg.checkpointSlotSize) {
+            checkpointSlotSize) {
         return false;
     }
     std::uint32_t seal =
@@ -894,9 +892,9 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
                          std::uint32_t next_seq)
 {
     const unsigned word_cyc =
-        1 + cfg.memExtraCycles + cfg.framWriteExtraCycles;
+        1 + memExtraCycles + cfg.framWriteExtraCycles;
     const sim::Tick word_dt =
-        static_cast<sim::Tick>(word_cyc) * cyclePeriod_;
+        static_cast<sim::Tick>(word_cyc) * cycleTicks;
     const bool naive = cfg.commitDiscipline == CommitDiscipline::Naive;
     const bool sealed = cfg.commitDiscipline == CommitDiscipline::Sealed;
     // Magic, sequence number, pc, flags, sp, stack length, the
@@ -981,33 +979,33 @@ bool
 Mcu::doCheckpoint()
 {
     mem::Addr sp = regs[isa::regSp];
-    if (sp > cfg.stackTop)
+    if (sp > stackTop)
         return false;
-    mem::Addr stack_bytes = cfg.stackTop - sp;
-    if (ckStackOff + stack_bytes > cfg.checkpointSlotSize)
+    mem::Addr stack_bytes = stackTop - sp;
+    if (ckStackOff + stack_bytes > checkpointSlotSize)
         return false;
     // The interruptible path word-pads the stack image; the sealed
     // discipline appends the seal word after it. Either needs room.
     const std::uint32_t padded =
         runtime::ckfmt::align4(static_cast<std::uint32_t>(stack_bytes));
     if (cfg.interruptibleCommit &&
-        ckStackOff + padded > cfg.checkpointSlotSize)
+        ckStackOff + padded > checkpointSlotSize)
         return false;
     if (cfg.commitDiscipline == CommitDiscipline::Sealed &&
         runtime::ckfmt::sealOff(static_cast<std::uint32_t>(
-            stack_bytes)) + 4 > cfg.checkpointSlotSize)
+            stack_bytes)) + 4 > checkpointSlotSize)
         return false;
 
     // Double-buffered: write into the slot with the older sequence
     // number, then commit by writing the new sequence number last
     // (SeqLast/Sealed; Naive writes it first, which is the bug the
     // crash-anywhere oracle exists to catch).
-    std::uint32_t seq0 = debugRead32(cfg.checkpointBase + ckSeqOff);
-    std::uint32_t seq1 = debugRead32(cfg.checkpointBase +
-                                     cfg.checkpointSlotSize + ckSeqOff);
+    std::uint32_t seq0 = debugRead32(checkpointBase + ckSeqOff);
+    std::uint32_t seq1 = debugRead32(checkpointBase +
+                                     checkpointSlotSize + ckSeqOff);
     int slot = seq0 <= seq1 ? 0 : 1;
     std::uint32_t next_seq = std::max(seq0, seq1) + 1;
-    mem::Addr base = cfg.checkpointBase + slot * cfg.checkpointSlotSize;
+    mem::Addr base = checkpointBase + slot * checkpointSlotSize;
     if (nv_)
         nv_->setCommitSlot(slot);
 
@@ -1045,7 +1043,7 @@ Mcu::tryRestore()
     } else {
         for (int slot = 0; slot < 2; ++slot) {
             mem::Addr base =
-                cfg.checkpointBase + slot * cfg.checkpointSlotSize;
+                checkpointBase + slot * checkpointSlotSize;
             std::uint32_t magic = debugRead32(base + ckMagicOff);
             std::uint32_t seq = debugRead32(base + ckSeqOff);
             if (magic == ckMagic && seq > best_seq) {
@@ -1057,11 +1055,11 @@ Mcu::tryRestore()
     if (best_slot < 0)
         return false;
     mem::Addr base =
-        cfg.checkpointBase + best_slot * cfg.checkpointSlotSize;
+        checkpointBase + best_slot * checkpointSlotSize;
     mem::Addr sp = debugRead32(base + ckSpOff);
     mem::Addr stack_bytes = debugRead32(base + ckStackLenOff);
-    if (sp > cfg.stackTop ||
-        ckStackOff + stack_bytes > cfg.checkpointSlotSize) {
+    if (sp > stackTop ||
+        ckStackOff + stack_bytes > checkpointSlotSize) {
         return false;
     }
     for (unsigned r = 0; r < isa::numRegs; ++r)

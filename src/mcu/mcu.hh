@@ -70,36 +70,14 @@ enum class CommitDiscipline : std::uint8_t
 /** Static configuration of the MCU core. */
 struct McuConfig
 {
-    /** Core clock (WISP 5 runs its MSP430 around 4 MHz). */
-    double clockHz = 4e6;
-    /** Supply current while executing (paper: ~0.5 mA at 4 MHz). */
-    double activeAmps = 0.5e-3;
-    /** Supply current when halted (deep sleep). */
-    double haltAmps = 50e-6;
-    /** Supply current during a timed low-power wait (LPM sleep). */
-    double sleepAmps = 2e-6;
-    /** Extra cycles for any data-memory access. */
-    unsigned memExtraCycles = 1;
     /** Additional wait-state cycles for FRAM writes. */
     unsigned framWriteExtraCycles = 2;
-    /** Cycles consumed entering the debug interrupt handler. */
-    unsigned irqEntryCycles = 6;
-    /** Reset / power-management settle time after turn-on. */
-    sim::Tick bootDelay = 100 * sim::oneUs;
-    /** Max instructions-slice length per event. */
-    sim::Tick sliceQuantum = 100 * sim::oneUs;
     // The execution engine (fast or reference) is not configured
     // here: the core runs whatever energy::PowerSystemConfig::engine
     // selects for its power system.
 
     /** Hardware checkpoint unit enable (restore-on-boot). */
     bool checkpointingEnabled = false;
-    /** FRAM base of the two checkpoint slots. */
-    mem::Addr checkpointBase = 0xE000;
-    /** Bytes per checkpoint slot (two slots used). */
-    mem::Addr checkpointSlotSize = 0x800;
-    /** Initial stack pointer / top bound of checkpointed stack. */
-    mem::Addr stackTop = 0x4000;
     /** Commit protocol of the checkpoint unit (DESIGN.md §11). */
     CommitDiscipline commitDiscipline = CommitDiscipline::SeqLast;
     /**
@@ -146,6 +124,33 @@ class Mcu : public sim::Component
     using ResetHook = std::function<void()>;
     /** Instruction tracer: (pc, decoded instruction). */
     using Tracer = std::function<void(mem::Addr, const isa::Instr &)>;
+
+    /// @name Core timing, supply currents and checkpoint layout
+    /// (WISP 5)
+    /// @{
+    /** Core clock (WISP 5 runs its MSP430 around 4 MHz). */
+    static constexpr double clockHz = 4e6;
+    /** Supply current while executing (paper: ~0.5 mA at 4 MHz). */
+    static constexpr double activeAmps = 0.5e-3;
+    /** Supply current when halted (deep sleep). */
+    static constexpr double haltAmps = 50e-6;
+    /** Supply current during a timed low-power wait (LPM sleep). */
+    static constexpr double sleepAmps = 2e-6;
+    /** Extra cycles for any data-memory access. */
+    static constexpr unsigned memExtraCycles = 1;
+    /** Cycles consumed entering the debug interrupt handler. */
+    static constexpr unsigned irqEntryCycles = 6;
+    /** Reset / power-management settle time after turn-on. */
+    static constexpr sim::Tick bootDelay = 100 * sim::oneUs;
+    /** Max instructions-slice length per event. */
+    static constexpr sim::Tick sliceQuantum = 100 * sim::oneUs;
+    /** FRAM base of the two checkpoint slots. */
+    static constexpr mem::Addr checkpointBase = 0xE000;
+    /** Bytes per checkpoint slot (two slots used). */
+    static constexpr mem::Addr checkpointSlotSize = 0x800;
+    /** Initial stack pointer / top bound of checkpointed stack. */
+    static constexpr mem::Addr stackTop = 0x4000;
+    /// @}
 
     Mcu(sim::Simulator &simulator, std::string component_name,
         sim::TimeCursor &cursor, mem::MemoryMap &memory,
@@ -259,7 +264,7 @@ class Mcu : public sim::Component
     const McuConfig &config() const { return cfg; }
 
     /** Tick duration of one core clock cycle. */
-    sim::Tick cyclePeriod() const { return cyclePeriod_; }
+    static constexpr sim::Tick cyclePeriod() { return cycleTicks; }
 
     /// @name Static-analysis cost quotes (analysis/cost_model.hh)
     /// The energy analyzer's per-instruction cost table is extracted
@@ -308,7 +313,7 @@ class Mcu : public sim::Component
         isa::Instr instr;
         /** Static cycle cost (includes memExtraCycles). */
         std::uint32_t cycles = 0;
-        /** secondsFromTicks(cycles * cyclePeriod_), precomputed. */
+        /** secondsFromTicks(cycles * cycleTicks), precomputed. */
         double dtSeconds = 0.0;
         InstrClass cls = InstrClass::Static;
     };
@@ -369,7 +374,8 @@ class Mcu : public sim::Component
     McuConfig cfg;
     /** power.config().engine == Engine::Fast, resolved once. */
     bool fast_;
-    sim::Tick cyclePeriod_;
+    static constexpr sim::Tick cycleTicks =
+        sim::ticksFromSeconds(1.0 / clockHz);
 
     energy::PowerSystem::LoadHandle coreLoad;
 
@@ -411,9 +417,6 @@ class Mcu : public sim::Component
     /** (base, span) of each FRAM region, snapshotted with the icache
      *  so store costing can skip the memory-map lookup. */
     std::vector<std::pair<mem::Addr, mem::Addr>> framRanges_;
-    /** Cached power integration sub-step ceiling. */
-    sim::Tick powerMaxStep_ = 0;
-
     ResetHook resetHook;
     Tracer tracer;
 

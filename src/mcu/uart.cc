@@ -6,19 +6,18 @@ namespace edb::mcu {
 
 Uart::Uart(sim::Simulator &simulator, std::string component_name,
            sim::TimeCursor &time_cursor, energy::PowerSystem &power_sys,
-           UartConfig config)
+           double tx_active_amps)
     : sim::Component(simulator, std::move(component_name)),
       cursor(time_cursor),
-      power(power_sys),
-      cfg(config)
+      power(power_sys)
 {
-    txLoad = power.addLoad(name() + ".tx", cfg.txActiveAmps, false);
+    txLoad = power.addLoad(name() + ".tx", tx_active_amps, false);
 }
 
 sim::Tick
 Uart::byteTime() const
 {
-    return sim::ticksFromSeconds(cfg.bitsPerByte / cfg.baud);
+    return sim::ticksFromSeconds(bitsPerByte / baud);
 }
 
 void
@@ -94,7 +93,7 @@ void
 Uart::receiveByte(std::uint8_t byte)
 {
     rxFifo.push_back(byte);
-    while (rxFifo.size() > cfg.rxFifoDepth)
+    while (rxFifo.size() > rxFifoDepth)
         rxFifo.pop_front();
 }
 

@@ -31,24 +31,6 @@ class EventRearmer;
 
 namespace edb::mcu {
 
-/** Configuration of a UART instance. */
-struct UartConfig
-{
-    double baud = 115200.0;
-    /**
-     * Extra supply current while the transmitter is shifting. The
-     * console-UART default includes driving the input stage of a
-     * non-isolated off-the-shelf USB-to-serial adapter, which the
-     * paper (Section 2.2) notes "permit[s] energy to flow into or
-     * out of the device".
-     */
-    double txActiveAmps = 2.2e-3;
-    /** Bits per byte on the wire (start + 8 data + stop). */
-    double bitsPerByte = 10.0;
-    /** Receive FIFO depth; overflow drops the oldest byte. */
-    std::size_t rxFifoDepth = 16;
-};
-
 /**
  * Target-side UART. The "wire" is exposed through listeners (for the
  * host / EDB's I/O sniffer) and `receiveByte` (for inbound traffic).
@@ -59,9 +41,22 @@ class Uart : public sim::Component
     /** Byte completed on the TX wire at `when`. */
     using TxListener = std::function<void(std::uint8_t, sim::Tick)>;
 
+    /** Line rate of both target UARTs. */
+    static constexpr double baud = 115200.0;
+    /** Bits per byte on the wire (start + 8 data + stop). */
+    static constexpr double bitsPerByte = 10.0;
+    /** Receive FIFO depth; overflow drops the oldest byte. */
+    static constexpr std::size_t rxFifoDepth = 16;
+
+    /**
+     * @param tx_active_amps Extra supply current while the
+     *        transmitter is shifting: the one parameter the console
+     *        UART (target::Wisp::consoleUartTxAmps) and the debug
+     *        link (DebugPort::uartTxAmps) differ in.
+     */
     Uart(sim::Simulator &simulator, std::string component_name,
          sim::TimeCursor &cursor, energy::PowerSystem &power,
-         UartConfig config = {});
+         double tx_active_amps);
 
     /**
      * Install TX / STATUS / RX registers.
@@ -103,7 +98,6 @@ class Uart : public sim::Component
 
     sim::TimeCursor &cursor;
     energy::PowerSystem &power;
-    UartConfig cfg;
     energy::PowerSystem::LoadHandle txLoad;
     std::deque<std::uint8_t> rxFifo;
     std::vector<TxListener> txListeners;

@@ -19,8 +19,8 @@ RfChannel::addTap(Tap tap)
 sim::Tick
 RfChannel::airTime(Direction direction, const Frame &frame) const
 {
-    double bps = direction == Direction::ReaderToTag ? cfg.downlinkBps
-                                                     : cfg.uplinkBps;
+    double bps =
+        direction == Direction::ReaderToTag ? downlinkBps : uplinkBps;
     double seconds = static_cast<double>(frame.wireBytes()) * 8.0 / bps;
     return sim::ticksFromSeconds(seconds);
 }
@@ -68,12 +68,12 @@ RfChannel::framesSent(Direction direction) const
 }
 
 SlottedArbiter::SlottedArbiter(RfEnvConfig config, std::uint64_t seed)
-    : cfg(config), seed_(seed), q_(config.initialQ)
+    : seed_(seed), q_(config.initialQ)
 {
-    if (q_ < cfg.minQ)
-        q_ = cfg.minQ;
-    if (q_ > cfg.maxQ)
-        q_ = cfg.maxQ;
+    if (q_ < minQ)
+        q_ = minQ;
+    if (q_ > maxQ)
+        q_ = maxQ;
 }
 
 std::vector<SlotOutcome>
@@ -112,10 +112,10 @@ SlottedArbiter::resolve(std::uint64_t round,
     collisions += roundCollided;
     idles += slots - occupied;
     // Gen2-style Q adaptation, on round totals (deterministic).
-    if (roundCollided > roundSingles && q_ < cfg.maxQ)
+    if (roundCollided > roundSingles && q_ < maxQ)
         ++q_;
     else if (roundCollided == 0 && occupied * 2 < slots &&
-             q_ > cfg.minQ)
+             q_ > minQ)
         --q_;
     return out;
 }

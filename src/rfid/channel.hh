@@ -29,10 +29,6 @@ class RfidReader;
 /** Channel configuration. */
 struct ChannelConfig
 {
-    /** Reader-to-tag (forward link) bitrate. */
-    double downlinkBps = 40e3;
-    /** Tag-to-reader (backscatter) bitrate. */
-    double uplinkBps = 160e3;
     /** Probability a frame is corrupted in flight. */
     double corruptionProbability = 0.03;
 };
@@ -44,6 +40,11 @@ class RfChannel : public sim::Component
     /** Wire tap: (direction, frame, completion time). */
     using Tap =
         std::function<void(Direction, const Frame &, sim::Tick)>;
+
+    /** Reader-to-tag (forward link) bitrate. */
+    static constexpr double downlinkBps = 40e3;
+    /** Tag-to-reader (backscatter) bitrate. */
+    static constexpr double uplinkBps = 160e3;
 
     RfChannel(sim::Simulator &simulator, std::string component_name,
               ChannelConfig config = {});
@@ -89,32 +90,15 @@ class RfChannel : public sim::Component
 };
 
 /**
- * Shared RF environment parameters for fleet-scale simulation
- * (DESIGN.md §12): one reader illuminating many tags. Worlds consume
- * the *effects* (incident power windows, slot grants) — the model
- * itself lives outside any single world's simulator so it can be
- * evaluated once, sequentially, at each epoch barrier.
+ * Reader-side arbitration parameters (DESIGN.md §12). The rest of the
+ * shared RF environment of a fleet — reader power, tag placement,
+ * carrier duty cycle, collision backoff — is fixed in fleet::Fleet and
+ * fleet::World.
  */
 struct RfEnvConfig
 {
-    /** Reader transmit power (paper setup: 30 dBm). */
-    double txPowerDbm = 30.0;
-    /** Fraction of each epoch the carrier illuminates the field. */
-    double dutyCycle = 0.85;
-    /** Tag-to-reader distance distribution (uniform in [min, max]). */
-    double minDistanceM = 0.6;
-    double maxDistanceM = 2.4;
     /** Initial Q: an inventory round offers 2^Q reply slots. */
     unsigned initialQ = 4;
-    unsigned minQ = 1;
-    unsigned maxQ = 12;
-    /**
-     * Post-collision backoff: a collided tag loses this fraction of
-     * the next epoch's carrier (the reader spends it re-arbitrating
-     * with others), coupling channel contention back into the energy
-     * model.
-     */
-    double collisionBackoff = 0.5;
 };
 
 /** Outcome of one tag's reply attempt in an arbitration round. */
@@ -142,6 +126,10 @@ enum class SlotOutcome : std::uint8_t
 class SlottedArbiter
 {
   public:
+    /** Bounds of the adaptive Q. */
+    static constexpr unsigned minQ = 1;
+    static constexpr unsigned maxQ = 12;
+
     explicit SlottedArbiter(RfEnvConfig config = {},
                             std::uint64_t seed = 1);
 
@@ -165,10 +153,7 @@ class SlottedArbiter
     std::uint64_t idleSlotsTotal() const { return idles; }
     /// @}
 
-    const RfEnvConfig &config() const { return cfg; }
-
   private:
-    RfEnvConfig cfg;
     std::uint64_t seed_;
     unsigned q_;
     std::uint64_t rounds = 0;

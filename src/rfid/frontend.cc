@@ -10,14 +10,13 @@ RfFrontend::RfFrontend(sim::Simulator &simulator,
                        std::string component_name,
                        sim::TimeCursor &time_cursor,
                        energy::PowerSystem &power_sys,
-                       RfChannel &rf_channel, RfFrontendConfig config)
+                       RfChannel &rf_channel)
     : sim::Component(simulator, std::move(component_name)),
       cursor(time_cursor),
       power(power_sys),
-      channel(rf_channel),
-      cfg(config)
+      channel(rf_channel)
 {
-    txLoad = power.addLoad(name() + ".tx", cfg.txActiveAmps, false);
+    txLoad = power.addLoad(name() + ".tx", txActiveAmps, false);
     channel.attachTag(this);
 }
 
@@ -79,7 +78,7 @@ RfFrontend::frameArrived(const Frame &frame)
         ++rxDropped;
         return;
     }
-    if (rxFifo.size() >= cfg.rxFifoDepth) {
+    if (rxFifo.size() >= rxFifoDepth) {
         ++rxDropped;
         return;
     }

@@ -32,22 +32,18 @@ namespace edb::rfid {
 
 class RfChannel;
 
-/** Front-end configuration. */
-struct RfFrontendConfig
-{
-    /** Extra supply current while backscattering a reply. */
-    double txActiveAmps = 0.15e-3;
-    /** RX FIFO depth in frames. */
-    std::size_t rxFifoDepth = 4;
-};
-
 /** Demodulator / modulator pair of the tag. */
 class RfFrontend : public sim::Component
 {
   public:
+    /** Extra supply current while backscattering a reply. */
+    static constexpr double txActiveAmps = 0.15e-3;
+    /** RX FIFO depth in frames. */
+    static constexpr std::size_t rxFifoDepth = 4;
+
     RfFrontend(sim::Simulator &simulator, std::string component_name,
                sim::TimeCursor &cursor, energy::PowerSystem &power,
-               RfChannel &channel, RfFrontendConfig config = {});
+               RfChannel &channel);
 
     /** Install RX/TX registers into the MMIO region. */
     void installMmio(mem::MmioRegion &mmio);
@@ -89,7 +85,6 @@ class RfFrontend : public sim::Component
     sim::TimeCursor &cursor;
     energy::PowerSystem &power;
     RfChannel &channel;
-    RfFrontendConfig cfg;
     energy::PowerSystem::LoadHandle txLoad;
 
     /** RX FIFO of (type + payload) byte streams. */

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <string>
 
+#include "mcu/adc.hh"
 #include "sim/snapshot.hh"
 
 namespace edb::runtime {
@@ -99,11 +100,11 @@ frameCrc(const std::uint8_t *frame, std::uint32_t stack_bytes,
 std::string checkpointSource();
 
 /**
- * ADC code corresponding to a capacitor voltage for the target's
- * on-chip ADC (bits/vref must match the device's AdcConfig).
+ * ADC code corresponding to a capacitor voltage; the defaults are the
+ * target's on-chip ADC (mcu::Adc).
  */
-unsigned adcCodeForVolts(double volts, unsigned bits = 12,
-                         double vref_volts = 3.0);
+unsigned adcCodeForVolts(double volts, unsigned bits = mcu::Adc::bits,
+                         double vref_volts = mcu::Adc::vrefVolts);
 
 } // namespace edb::runtime
 

@@ -45,7 +45,7 @@ Accelerometer::latchSample()
     };
     x = clamp16(rng.gaussian(sigma));
     y = clamp16(rng.gaussian(sigma));
-    z = clamp16(cfg.gravityCounts + rng.gaussian(sigma));
+    z = clamp16(gravityCounts + rng.gaussian(sigma));
     ++samples;
     if (isMoving)
         ++movingLatched;

@@ -40,11 +40,8 @@ constexpr std::uint8_t ctrl = 0x07;    ///< Writable control register.
 /** Motion-profile configuration. */
 struct AccelConfig
 {
-    std::uint8_t busAddress = 0x1D;
     /** Mean dwell in each motion state. */
     sim::Tick meanDwell = 400 * sim::oneMs;
-    /** 1 g in raw counts. */
-    int gravityCounts = 1024;
     /** Noise sigma while stationary (counts). */
     double stillSigma = 12.0;
     /** Noise sigma while moving (counts). */
@@ -55,12 +52,17 @@ struct AccelConfig
 class Accelerometer : public sim::Component, public mcu::I2cDevice
 {
   public:
+    /** 7-bit I2C address (the activity app's ACCEL_ADDR). */
+    static constexpr std::uint8_t busAddress = 0x1D;
+    /** 1 g in raw counts. */
+    static constexpr int gravityCounts = 1024;
+
     Accelerometer(sim::Simulator &simulator, std::string component_name,
                   AccelConfig config = {});
 
     /// @name I2cDevice interface
     /// @{
-    std::uint8_t address() const override { return cfg.busAddress; }
+    std::uint8_t address() const override { return busAddress; }
     std::uint8_t readReg(std::uint8_t reg) override;
     void writeReg(std::uint8_t reg, std::uint8_t value) override;
     /// @}

@@ -36,13 +36,14 @@ Wisp::Wisp(sim::Simulator &simulator, std::string component_name,
            mem::RegionKind::Fram, cfg.nvTech),
       mmio(name() + ".mmio", layout::mmioBase, layout::mmioSize),
       gpio_(simulator, name() + ".gpio", cursor),
-      uart_(simulator, name() + ".uart0", cursor, power_, cfg.uart),
-      i2c_(simulator, name() + ".i2c", cursor, power_, cfg.i2c),
-      adc_(simulator, name() + ".adc", cursor, power_, cfg.adc),
-      led_(simulator, name() + ".led", power_, cfg.ledAmps),
+      uart_(simulator, name() + ".uart0", cursor, power_,
+            consoleUartTxAmps),
+      i2c_(simulator, name() + ".i2c", cursor, power_),
+      adc_(simulator, name() + ".adc", cursor, power_),
+      led_(simulator, name() + ".led", power_, ledAmps),
       debugPort_(simulator, name() + ".dbg", cursor, power_,
                  cfg.debug),
-      accel_(simulator, name() + ".accel", cfg.accel),
+      accel_(simulator, name() + ".accel"),
       core(simulator, name() + ".mcu", cursor, map, power_, cfg.mcu)
 {
     // Address space: NULL page unmapped (wild NULL-derived accesses
@@ -81,8 +82,7 @@ Wisp::Wisp(sim::Simulator &simulator, std::string component_name,
     // Optional RFID air interface.
     if (channel) {
         rf_ = std::make_unique<rfid::RfFrontend>(
-            simulator, name() + ".rf", cursor, power_, *channel,
-            cfg.rf);
+            simulator, name() + ".rf", cursor, power_, *channel);
         rf_->installMmio(mmio);
         channel->attachTag(rf_.get());
     }
@@ -120,8 +120,8 @@ Wisp::auditConfig() const
     mem::NvAuditConfig audit;
     audit.nvBase = fram.base();
     audit.nvSize = fram.size();
-    audit.checkpointBase = cfg.mcu.checkpointBase;
-    audit.checkpointSpan = 2 * cfg.mcu.checkpointSlotSize;
+    audit.checkpointBase = mcu::Mcu::checkpointBase;
+    audit.checkpointSpan = 2 * mcu::Mcu::checkpointSlotSize;
     return audit;
 }
 

@@ -58,6 +58,7 @@ constexpr mem::Addr sramBase = 0x0400;
 constexpr mem::Addr sramSize = 0x3C00;
 /** Initial stack pointer: the top of SRAM. */
 constexpr mem::Addr stackTop = sramBase + sramSize;
+static_assert(stackTop == mcu::Mcu::stackTop);
 /** Non-volatile FRAM: code, data, checkpoint slots. */
 constexpr mem::Addr framBase = 0x4000;
 constexpr mem::Addr framSize = 0xB000;
@@ -71,15 +72,7 @@ struct WispConfig
 {
     energy::PowerSystemConfig power = {};
     mcu::McuConfig mcu = {};
-    /** Console UART (the energy-expensive printf path). */
-    mcu::UartConfig uart = {};
-    mcu::I2cConfig i2c = {};
-    mcu::AdcConfig adc = {};
     mcu::DebugPortConfig debug = {};
-    rfid::RfFrontendConfig rf = {};
-    sensors::AccelConfig accel = {};
-    /** LED current while lit (paper Section 2.2: ~5x the MCU). */
-    double ledAmps = 4.0e-3;
     /**
      * NV technology of the FRAM region (mem/nv_region.hh). The
      * default is passive — bit-identical to the seed's plain Ram. An
@@ -95,6 +88,17 @@ struct WispConfig
 class Wisp : public sim::Component
 {
   public:
+    /**
+     * Extra supply current while the console UART (the
+     * energy-expensive printf path) is shifting. It includes driving
+     * the input stage of a non-isolated off-the-shelf USB-to-serial
+     * adapter, which the paper (Section 2.2) notes "permit[s] energy
+     * to flow into or out of the device".
+     */
+    static constexpr double consoleUartTxAmps = 2.2e-3;
+    /** LED current while lit (paper Section 2.2: ~5x the MCU). */
+    static constexpr double ledAmps = 4.0e-3;
+
     /**
      * @param harvester Ambient energy source (non-owning).
      * @param channel Optional RFID air interface; when present the

@@ -348,7 +348,7 @@ TEST(McuPower, HaltDropsToLowPower)
     auto &mcu = rig.run("main:\n    halt\n");
     ASSERT_EQ(mcu.state(), mcu::McuState::Halted);
     EXPECT_DOUBLE_EQ(rig.wisp.power().totalLoadAmps(),
-                     rig.wisp.config().mcu.haltAmps);
+                     mcu::Mcu::haltAmps);
 }
 
 TEST(McuPower, CyclesAccumulateOnlyWhileRunning)
@@ -464,10 +464,10 @@ main:
     halt
 )");
     auto &mcu = rig.wisp.mcu();
-    auto &cfg = rig.wisp.config().mcu;
-    std::uint32_t seq0 = mcu.debugRead32(cfg.checkpointBase + 4);
-    std::uint32_t seq1 = mcu.debugRead32(cfg.checkpointBase +
-                                         cfg.checkpointSlotSize + 4);
+    std::uint32_t seq0 = mcu.debugRead32(mcu::Mcu::checkpointBase + 4);
+    std::uint32_t seq1 = mcu.debugRead32(mcu::Mcu::checkpointBase +
+                                         mcu::Mcu::checkpointSlotSize +
+                                         4);
     // Three checkpoints: slots hold sequence numbers {3, 2}.
     EXPECT_EQ(std::max(seq0, seq1), 3u);
     EXPECT_EQ(std::min(seq0, seq1), 2u);
@@ -535,7 +535,7 @@ main:
     // The crashed core keeps its active load: this is what makes the
     // device discharge and reboot in the paper's failure loop.
     EXPECT_DOUBLE_EQ(rig.wisp.power().totalLoadAmps(),
-                     rig.wisp.config().mcu.activeAmps);
+                     mcu::Mcu::activeAmps);
 }
 
 TEST(McuExec, InstructionTracerObservesStream)

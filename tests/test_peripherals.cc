@@ -218,7 +218,7 @@ TEST(Adc, ConversionTimingAndValue)
     rig.sim.runFor(100 * sim::oneMs); // let Vcap charge to ~3.0 V
     rig.poke(m::adcCtrl, 0);          // channel 0 = Vcap
     EXPECT_EQ(rig.peek(m::adcStatus) & 1u, 1u);
-    rig.sim.runFor(rig.wisp.config().adc.conversionTime + sim::oneUs);
+    rig.sim.runFor(mcu::Adc::conversionTime + sim::oneUs);
     EXPECT_EQ(rig.peek(m::adcStatus) & 2u, 2u);
     double vcap = rig.wisp.power().voltage();
     double measured = rig.peek(m::adcValue) * 3.0 / 4095.0;
@@ -248,7 +248,7 @@ TEST(Led, LoadFollowsState)
     rig.poke(m::led, 1);
     EXPECT_TRUE(rig.wisp.led().lit());
     EXPECT_NEAR(rig.wisp.power().totalLoadAmps() - idle,
-                rig.wisp.config().ledAmps, 1e-12);
+                target::Wisp::ledAmps, 1e-12);
     rig.poke(m::led, 0);
     EXPECT_DOUBLE_EQ(rig.wisp.power().totalLoadAmps(), idle);
     EXPECT_EQ(rig.wisp.led().blinkCount(), 1u);
@@ -345,7 +345,7 @@ TEST(Accelerometer, GravityOnZAxis)
     auto hi = accel.readReg(sensors::accel_reg::zHi);
     auto lo = accel.readReg(sensors::accel_reg::zLo);
     auto z = static_cast<std::int16_t>((hi << 8) | lo);
-    EXPECT_EQ(z, config.gravityCounts);
+    EXPECT_EQ(z, sensors::Accelerometer::gravityCounts);
 }
 
 } // namespace

@@ -138,7 +138,7 @@ TEST(Frontend, RxFifoDepthBounded)
                          rig.sim.now());
     rig.sim.runFor(10 * sim::oneMs);
     EXPECT_EQ(rig.wisp.rf()->rxPending(),
-              rig.wisp.config().rf.rxFifoDepth);
+              rfid::RfFrontend::rxFifoDepth);
     EXPECT_GT(rig.wisp.rf()->framesDroppedUnpowered(), 0u);
 }
 

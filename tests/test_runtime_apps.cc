@@ -210,9 +210,8 @@ TEST(Apps, ProgramsFitTheirMemoryBudget)
     for (const auto &program :
          {apps::buildLinkedListApp({true, true, false}),
           apps::buildFibonacciApp({true, true, true, 0}),
-          apps::buildActivityApp(
-              {apps::ActivityOutput::UartPrintf, true, 8, 350}),
-          apps::buildRfidFirmware({true, 50})}) {
+          apps::buildActivityApp({apps::ActivityOutput::UartPrintf, true}),
+          apps::buildRfidFirmware({true})}) {
         for (const auto &seg : program.segments) {
             EXPECT_GE(seg.base, 0x4000u);
             EXPECT_LE(seg.base + seg.bytes.size(), 0x5000u)

@@ -45,7 +45,7 @@ main:
         if (wisp.mcu().sleeping()) {
             saw_sleeping = true;
             EXPECT_NEAR(wisp.power().totalLoadAmps(),
-                        wisp.config().mcu.sleepAmps, 1e-9);
+                        mcu::Mcu::sleepAmps, 1e-9);
         }
     }
     EXPECT_TRUE(saw_sleeping);

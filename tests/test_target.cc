@@ -55,8 +55,8 @@ TEST(WispLayout, ElectricalConstantsMatchPaperSection51)
     EXPECT_DOUBLE_EQ(power.capacitanceF, 47e-6);
     EXPECT_DOUBLE_EQ(power.turnOnVolts, 2.4);
     EXPECT_DOUBLE_EQ(power.brownOutVolts, 1.8);
-    EXPECT_DOUBLE_EQ(rig.wisp.config().mcu.activeAmps, 0.5e-3);
-    EXPECT_DOUBLE_EQ(rig.wisp.config().mcu.clockHz, 4e6);
+    EXPECT_DOUBLE_EQ(mcu::Mcu::activeAmps, 0.5e-3);
+    EXPECT_DOUBLE_EQ(mcu::Mcu::clockHz, 4e6);
 }
 
 TEST(WispFlash, ReflashResetsCheckpointSlots)
@@ -146,9 +146,9 @@ class AppDisassembly
             return apps::buildFibonacciApp({true, true, false, 100});
         if (which == "activity") {
             return apps::buildActivityApp(
-                {apps::ActivityOutput::UartPrintf, true, 8, 350});
+                {apps::ActivityOutput::UartPrintf, true});
         }
-        return apps::buildRfidFirmware({true, 50});
+        return apps::buildRfidFirmware({true});
     }
 };
 
