@@ -33,9 +33,10 @@ CostModel::fromWisp(const target::Wisp &wisp)
     m.sleepAmps = Mcu::sleepAmps;
     m.ledAmps = target::Wisp::ledAmps;
 
+    // Both UARTs run one line rate; only their drive current differs.
     m.uartFrameSeconds = Uart::bitsPerByte / Uart::baud;
     m.uartTxAmps = target::Wisp::consoleUartTxAmps;
-    m.dbgUartFrameSeconds = Uart::bitsPerByte / Uart::baud;
+    m.dbgUartFrameSeconds = m.uartFrameSeconds;
     m.dbgUartTxAmps = mcu::DebugPort::uartTxAmps;
     m.nvWriteCharge = wc.nvTech.writeChargeCoulombs;
 

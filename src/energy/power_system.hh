@@ -105,16 +105,16 @@ class PowerSystem : public sim::Component
   public:
     using LoadHandle = std::size_t;
     using SourceHandle = std::size_t;
-
-    /** Integration sub-step ceiling. */
-    static constexpr sim::Tick maxStep = 5 * sim::oneUs;
-    /** Self-tick period that keeps the model advancing while idle. */
-    static constexpr sim::Tick idleTickPeriod = 20 * sim::oneUs;
     /** Signed current into the capacitor, amps, as f(volts, seconds). */
     using SourceFn = std::function<double(double, double)>;
     /** Power-state listener: called with true on turn-on, false on
      *  brown-out. */
     using PowerListener = std::function<void(bool)>;
+
+    /** Integration sub-step ceiling. */
+    static constexpr sim::Tick maxStep = 5 * sim::oneUs;
+    /** Self-tick period that keeps the model advancing while idle. */
+    static constexpr sim::Tick idleTickPeriod = 20 * sim::oneUs;
 
     PowerSystem(sim::Simulator &simulator, std::string component_name,
                 PowerSystemConfig config, const Harvester *harvester);

@@ -180,14 +180,17 @@ parseReg(const std::string &tok, int line)
     if (t == "sp")
         return regSp;
     if (t.size() >= 2 && t[0] == 'r') {
-        int n = 0;
+        unsigned n = 0;
         for (std::size_t i = 1; i < t.size(); ++i) {
             if (!std::isdigit(static_cast<unsigned char>(t[i])))
                 err(line, "bad register '" + tok + "'");
-            n = n * 10 + (t[i] - '0');
+            n = n * 10 + static_cast<unsigned>(t[i] - '0');
+            // Stop as soon as the number leaves the register file,
+            // before a long digit run can wrap it back in.
+            if (n >= numRegs)
+                err(line, "bad register '" + tok + "'");
         }
-        if (n >= 0 && n < static_cast<int>(numRegs))
-            return static_cast<std::uint8_t>(n);
+        return static_cast<std::uint8_t>(n);
     }
     err(line, "bad register '" + tok + "'");
 }
@@ -285,10 +288,19 @@ parseExpr(const std::string &expr, const SymbolTable &syms, int line)
     }
     terms.emplace_back(pending, cur);
 
+    // No EH32 operand is wider than 32 bits. Bounding every term and
+    // running total to 2^32 rejects nonsense early and keeps the sum,
+    // and the caller's negation of it, far from 64-bit overflow.
+    constexpr std::int64_t limit = std::int64_t{1} << 32;
     std::int64_t total = 0;
     for (const auto &[sign, term] : terms) {
         std::int64_t v = parsePrimary(term, syms, line);
+        if (v > limit || v < -limit)
+            err(line, "expression term out of range: '" + trim(term) +
+                          "'");
         total += sign == '-' ? -v : v;
+        if (total > limit || total < -limit)
+            err(line, "expression out of range: '" + t + "'");
     }
     return total;
 }

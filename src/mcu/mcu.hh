@@ -417,6 +417,7 @@ class Mcu : public sim::Component
     /** (base, span) of each FRAM region, snapshotted with the icache
      *  so store costing can skip the memory-map lookup. */
     std::vector<std::pair<mem::Addr, mem::Addr>> framRanges_;
+
     ResetHook resetHook;
     Tracer tracer;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <fstream>
 
 namespace edb::sim {
 
@@ -117,18 +116,6 @@ SnapshotWriter::finish() const
 }
 
 bool
-SnapshotWriter::writeFile(const std::string &path) const
-{
-    std::vector<std::uint8_t> image = finish();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    out.write(reinterpret_cast<const char *>(image.data()),
-              static_cast<std::streamsize>(image.size()));
-    return static_cast<bool>(out);
-}
-
-bool
 SnapshotReader::load(std::vector<std::uint8_t> image)
 {
     fail_ = true;
@@ -155,18 +142,6 @@ SnapshotReader::load(std::vector<std::uint8_t> image)
     payload.assign(image.begin() + headerSize, image.end());
     fail_ = false;
     return true;
-}
-
-bool
-SnapshotReader::loadFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::vector<std::uint8_t> image(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return load(std::move(image));
 }
 
 bool

@@ -98,9 +98,6 @@ class SnapshotWriter
     /** Seal: header (magic, version, length, CRC) + payload. */
     std::vector<std::uint8_t> finish() const;
 
-    /** Seal and write to a file. @return false on I/O error. */
-    bool writeFile(const std::string &path) const;
-
     static constexpr char magic[9] = "EDBSNAP1";
     static constexpr std::uint32_t version = 1;
 
@@ -121,9 +118,6 @@ class SnapshotReader
   public:
     /** Adopt a sealed image; verifies magic, version and CRC. */
     bool load(std::vector<std::uint8_t> image);
-
-    /** Read and verify a file. */
-    bool loadFile(const std::string &path);
 
     /// @name Typed fields (mirror SnapshotWriter)
     /// @{

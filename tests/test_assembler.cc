@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/activity.hh"
+#include "apps/fibonacci.hh"
+#include "apps/linked_list.hh"
+#include "apps/rfid_firmware.hh"
+#include "byte_soup.hh"
 #include "isa/assembler.hh"
 #include "sim/logging.hh"
 #include "isa/isa.hh"
@@ -231,6 +236,10 @@ TEST(AssemblerErrors, BadRegister)
 {
     EXPECT_THROW(assemble("    mov r1, r16\n"), AsmError);
     EXPECT_THROW(assemble("    mov rx, r1\n"), AsmError);
+    // Register numbers must not wrap: r4294967298 was r2.
+    EXPECT_THROW(assemble("    mov r1, r4294967298\n"), AsmError);
+    EXPECT_THROW(assemble("    mov r1, r12345678901234567890\n"),
+                 AsmError);
 }
 
 TEST(AssemblerErrors, OperandCount)
@@ -246,6 +255,44 @@ TEST(AssemblerErrors, ImmediateRange)
     EXPECT_THROW(assemble("    andi r1, r1, -1\n"), AsmError);
     EXPECT_NO_THROW(assemble("    li r1, 32767\n"));
     EXPECT_NO_THROW(assemble("    andi r1, r1, 0xFFFF\n"));
+    // Sums must not wrap (this one was `addi r1, r1, 0`), and a
+    // memory offset's negation must not overflow.
+    EXPECT_THROW(
+        assemble("    addi r1, r1, 0x7fffffffffffffff + "
+                 "0x7fffffffffffffff + 2\n"),
+        AsmError);
+    EXPECT_THROW(
+        assemble("    ldw r1, [r2 - -9223372036854775807 - 1]\n"),
+        AsmError);
+    EXPECT_THROW(assemble("    .word 0x100000001\n"), AsmError);
+    EXPECT_NO_THROW(assemble("    .word 0xFFFFFFFF\n"));
+}
+
+TEST(AssemblerErrors, SurvivesMutatedAppListings)
+{
+    // Assembler source is a byte surface: every mutant of a real
+    // listing must assemble or throw AsmError, nothing else (the
+    // sanitizer build runs the same inputs for undefined behaviour).
+    const std::string bases[] = {
+        edb::apps::linkedListSource(), edb::apps::fibonacciSource(),
+        edb::apps::activitySource(), edb::apps::rfidFirmwareSource()};
+    constexpr int trials = 2000;
+    std::uint64_t state = 21;
+    int rejected = 0;
+    for (int trial = 0; trial < trials; ++trial) {
+        const std::string text =
+            edb::test::mutateText(bases[trial % 4], state);
+        try {
+            assemble(text);
+        } catch (const AsmError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "trial " << trial << ": " << e.what();
+        }
+    }
+    // The mutants reach the error paths, and not only them.
+    EXPECT_GT(rejected, 0);
+    EXPECT_LT(rejected, trials);
 }
 
 TEST(AssemblerErrors, BranchOutOfRange)

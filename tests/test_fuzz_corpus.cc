@@ -16,15 +16,19 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "byte_soup.hh"
 #include "fuzz/corpus.hh"
 #include "fuzz/generator.hh"
 #include "fuzz/oracle.hh"
 #include "fuzz/shrink.hh"
+#include "isa/assembler.hh"
 
 namespace {
 
@@ -131,6 +135,52 @@ TEST(FuzzCorpus, LoaderRejectsOutOfRangeValues)
             << knobs;
         EXPECT_FALSE(error.empty()) << knobs;
     }
+}
+
+TEST(FuzzCorpus, LoaderSurvivesMutatedCases)
+{
+    // `.case` files are a byte surface: every mutant of a checked-in
+    // case must load or be refused with a reason, and a loaded case's
+    // listings must assemble or throw AsmError, nothing else.
+    std::vector<std::string> bases;
+    for (const std::string &path : corpusFiles()) {
+        std::ifstream in(path);
+        std::ostringstream text;
+        text << in.rdbuf();
+        bases.push_back(text.str());
+    }
+    ASSERT_FALSE(bases.empty());
+    constexpr int trials = 2000;
+    std::uint64_t state = 35;
+    int loaded = 0;
+    for (int trial = 0; trial < trials; ++trial) {
+        const std::string text =
+            test::mutateText(bases[trial % bases.size()], state);
+        std::string error;
+        std::optional<fuzz::Artifact> artifact;
+        try {
+            artifact = fuzz::artifactFromText(text, &error);
+            if (!artifact) {
+                EXPECT_FALSE(error.empty()) << "trial " << trial;
+                continue;
+            }
+            ++loaded;
+            for (const std::string *listing :
+                 {&artifact->oracleCase.program,
+                  &artifact->oracleCase.mutant}) {
+                try {
+                    if (!listing->empty())
+                        isa::assemble(*listing);
+                } catch (const isa::AsmError &) {
+                }
+            }
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "trial " << trial << ": " << e.what();
+        }
+    }
+    // The mutants reach the loader's error paths, and not only them.
+    EXPECT_GT(loaded, 0);
+    EXPECT_LT(loaded, trials);
 }
 
 // ---------------------------------------------------------------

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <utility>
 
 #include "apps/activity.hh"
@@ -230,40 +229,6 @@ TEST(SnapshotResume, BitIdenticalWithCheckpointing)
     target::WispConfig cfg;
     cfg.mcu.checkpointingEnabled = true;
     resumeEquivalence(cfg, 3, energy::Engine::Fast);
-}
-
-TEST(SnapshotResume, FileRoundTrip)
-{
-    constexpr sim::Tick snapAt = 300 * sim::oneMs;
-    constexpr sim::Tick endAt = 800 * sim::oneMs;
-    auto program = apps::buildLinkedListApp();
-    std::string path = ::testing::TempDir() + "edb_snapshot_test.snap";
-
-    sim::Simulator sim1(5);
-    energy::RfHarvester rf1(30.0, 1.0);
-    target::Wisp wisp1(sim1, "wisp", &rf1);
-    wisp1.flash(program);
-    wisp1.start();
-    sim1.runUntil(snapAt);
-    sim::SnapshotWriter w;
-    wisp1.saveState(w);
-    ASSERT_TRUE(w.writeFile(path));
-    sim1.runUntil(endAt);
-    Digest ref = digestOf(sim1, wisp1);
-
-    sim::Simulator sim2(5);
-    energy::RfHarvester rf2(30.0, 1.0);
-    target::Wisp wisp2(sim2, "wisp", &rf2);
-    wisp2.flash(program);
-    sim::SnapshotReader r;
-    ASSERT_TRUE(r.loadFile(path));
-    sim::EventRearmer rearmer(sim2);
-    wisp2.restoreState(r, rearmer);
-    ASSERT_TRUE(r.ok());
-    rearmer.flush();
-    sim2.runUntil(endAt);
-    expectSameDigest(digestOf(sim2, wisp2), ref);
-    std::remove(path.c_str());
 }
 
 TEST(SnapshotResume, InPlaceRewindIsDeterministic)
