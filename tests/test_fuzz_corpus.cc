@@ -157,9 +157,8 @@ TEST(FuzzCorpus, LoaderSurvivesMutatedCases)
         const std::string text =
             test::mutateText(bases[trial % bases.size()], state);
         std::string error;
-        std::optional<fuzz::Artifact> artifact;
         try {
-            artifact = fuzz::artifactFromText(text, &error);
+            auto artifact = fuzz::artifactFromText(text, &error);
             if (!artifact) {
                 EXPECT_FALSE(error.empty()) << "trial " << trial;
                 continue;
