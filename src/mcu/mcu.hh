@@ -263,9 +263,6 @@ class Mcu : public sim::Component
 
     const McuConfig &config() const { return cfg; }
 
-    /** Tick duration of one core clock cycle. */
-    static constexpr sim::Tick cyclePeriod() { return cycleTicks; }
-
     /// @name Static-analysis cost quotes (analysis/cost_model.hh)
     /// The energy analyzer's per-instruction cost table is extracted
     /// through these instead of re-deriving the cost rules, so the
@@ -374,6 +371,7 @@ class Mcu : public sim::Component
     McuConfig cfg;
     /** power.config().engine == Engine::Fast, resolved once. */
     bool fast_;
+    /** Tick duration of one core clock cycle. */
     static constexpr sim::Tick cycleTicks =
         sim::ticksFromSeconds(1.0 / clockHz);
 
