@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "trace/vcd.hh"
 
 namespace edb::baseline {
 
@@ -87,42 +86,6 @@ Oscilloscope::writeCsv(std::ostream &os) const
             os << ',' << v;
         os << '\n';
     }
-}
-
-void
-Oscilloscope::writeVcd(std::ostream &os) const
-{
-    trace::VcdWriter vcd(os, 1000); // 1 us per VCD unit
-    std::vector<bool> digital(names.size(), true);
-    for (const auto &s : waveform) {
-        for (std::size_t ch = 0; ch < s.values.size(); ++ch) {
-            double v = s.values[ch];
-            if (v != 0.0 && v != 1.0)
-                digital[ch] = false;
-        }
-    }
-    std::vector<std::size_t> handles;
-    handles.reserve(names.size());
-    for (std::size_t ch = 0; ch < names.size(); ++ch) {
-        handles.push_back(digital[ch] ? vcd.addWire(names[ch])
-                                      : vcd.addReal(names[ch]));
-    }
-    std::vector<double> last(names.size(),
-                             std::numeric_limits<double>::quiet_NaN());
-    for (const auto &s : waveform) {
-        for (std::size_t ch = 0; ch < s.values.size(); ++ch) {
-            double v = s.values[ch];
-            if (v == last[ch])
-                continue; // only dump changes
-            last[ch] = v;
-            if (digital[ch])
-                vcd.changeWire(handles[ch], s.when, v > 0.5);
-            else
-                vcd.changeReal(handles[ch], s.when, v);
-        }
-    }
-    if (!waveform.empty())
-        vcd.finish(waveform.back().when);
 }
 
 std::size_t

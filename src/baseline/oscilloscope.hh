@@ -65,13 +65,6 @@ class Oscilloscope : public sim::Component
     void writeCsv(std::ostream &os) const;
 
     /**
-     * Write the waveform as a VCD dump for GTKWave-style viewers.
-     * Channels whose samples are all 0/1 are emitted as wires,
-     * everything else as real signals.
-     */
-    void writeVcd(std::ostream &os) const;
-
-    /**
      * Count rising edges of a digital-ish channel within a window
      * (edge = crossing 0.5 upward). Used to detect "the main loop
      * stopped toggling".

@@ -48,8 +48,7 @@ void
 PowerSystem::tick()
 {
     advanceTo(now());
-    tickDueAt = now() + idleTickPeriod;
-    tickEvent = sim().schedule(tickDueAt, [this] { tick(); });
+    tickEvent = sim().schedule(now() + idleTickPeriod, [this] { tick(); });
 }
 
 PowerSystem::LoadHandle
@@ -148,73 +147,40 @@ PowerSystem::regulatedVoltage()
 }
 
 void
-PowerSystem::saveState(sim::SnapshotWriter &w) const
+PowerSystem::state(sim::StateIo &io)
 {
-    w.section("power");
-    w.f64(cap.voltage());
-    w.tick(lastUpdate);
-    w.boolean(powered);
-    w.boolean(started);
-    w.f64(chargeIn);
-    w.f64(chargeOut);
-    w.u64(boots);
-    w.u64(brownOuts);
-    w.u32(static_cast<std::uint32_t>(loads.size()));
-    for (const auto &load : loads) {
-        w.f64(load.amps);
-        w.boolean(load.enabled);
-    }
-    w.u32(static_cast<std::uint32_t>(sources.size()));
-    for (const auto &src : sources)
-        w.boolean(src.enabled);
-    w.pendingEvent(started ? tickEvent : sim::invalidEventId,
-                   tickDueAt);
-}
-
-void
-PowerSystem::restoreState(sim::SnapshotReader &r,
-                          sim::EventRearmer &rearmer)
-{
-    r.section("power");
+    io.section("power");
     // Raw member writes only: going through setVoltage/setLoad*
     // would advanceTo(now()) and insert integration sub-steps the
     // original run never took, breaking resume equivalence.
-    cap.setVoltage(r.f64());
-    lastUpdate = r.tick();
-    powered = r.boolean();
-    started = r.boolean();
-    chargeIn = r.f64();
-    chargeOut = r.f64();
-    boots = r.u64();
-    brownOuts = r.u64();
+    double volts = cap.voltage();
+    io.f64(volts);
+    if (io.restoring())
+        cap.setVoltage(volts);
+    io.u64(lastUpdate);
+    io.boolean(powered);
+    io.boolean(started);
+    io.f64(chargeIn);
+    io.f64(chargeOut);
+    io.u64(boots);
+    io.u64(brownOuts);
     // A different load or source count means a differently wired
-    // device: reject, as Ram::restoreState rejects a size mismatch.
-    if (r.u32() != loads.size()) {
-        r.invalidate();
+    // device: reject, as Ram::state rejects a size mismatch.
+    if (!io.check(io.count<std::uint32_t>(loads.size()) == loads.size()))
         return;
-    }
     for (auto &load : loads) {
-        load.amps = r.f64();
-        load.enabled = r.boolean();
+        io.f64(load.amps);
+        io.boolean(load.enabled);
     }
-    if (r.u32() != sources.size()) {
-        r.invalidate();
+    if (!io.check(io.count<std::uint32_t>(sources.size()) == sources.size()))
         return;
-    }
     for (auto &src : sources)
-        src.enabled = r.boolean();
-    invalidateLoadSum();
-    integrating = false;
-    if (tickEvent != sim::invalidEventId) {
-        sim().cancel(tickEvent);
-        tickEvent = sim::invalidEventId;
+        io.boolean(src.enabled);
+    if (io.restoring()) {
+        invalidateLoadSum();
+        integrating = false;
     }
-    r.pendingEvent(
-        rearmer, [this] { tick(); },
-        [this](sim::EventId id, sim::Tick due) {
-            tickEvent = id;
-            tickDueAt = due;
-        });
+    io.event(tickEvent, [this] { tick(); });
 }
 
 } // namespace edb::energy

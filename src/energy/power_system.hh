@@ -33,9 +33,7 @@
 #include "sim/time.hh"
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
-class EventRearmer;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::energy {
@@ -260,15 +258,15 @@ class PowerSystem : public sim::Component
     std::uint64_t brownOutCount() const { return brownOuts; }
 
     /**
-     * Serialize the full analog + comparator state: capacitor
-     * voltage, integrator bookkeeping, charge accounting, comparator
-     * counters, per-load/per-source switch state and the pending
-     * self-tick event. Loads and sources are saved positionally, so
-     * save and restore sides must be wired identically (same device
-     * assembly, same construction order).
+     * Snapshot fields, both directions (see sim/snapshot.hh): the
+     * full analog + comparator state: capacitor voltage, integrator
+     * bookkeeping, charge accounting, comparator counters,
+     * per-load/per-source switch state and the pending self-tick
+     * event. Loads and sources are saved positionally, so save and
+     * restore sides must be wired identically (same device assembly,
+     * same construction order).
      */
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer);
+    void state(sim::StateIo &io);
 
   private:
     struct Load
@@ -374,9 +372,8 @@ class PowerSystem : public sim::Component
     double chargeOut = 0.0;
     std::uint64_t boots = 0;
     std::uint64_t brownOuts = 0;
-    /** Pending self-tick (id + absolute due time, for snapshots). */
+    /** Pending self-tick. */
     sim::EventId tickEvent = sim::invalidEventId;
-    sim::Tick tickDueAt = 0;
 };
 
 } // namespace edb::energy

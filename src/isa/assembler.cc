@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "isa/isa.hh"
+#include "mem/memory.hh"
 
 namespace edb::isa {
 
@@ -230,11 +231,16 @@ parsePrimary(const std::string &tok, const SymbolTable &syms, int line)
     }
     if (!num.empty() && std::isdigit(static_cast<unsigned char>(num[0]))) {
         std::int64_t value = 0;
+        std::size_t used = 0;
         try {
-            value = std::stoll(num, nullptr, 0);
+            value = std::stoll(num, &used, 0);
         } catch (const std::exception &) {
-            err(line, "bad number '" + t + "'");
+            // Out of range: `used` stays 0 and fails the check below.
         }
+        // stoll stops at the first stray byte: `12abc`, `0x10zz` and
+        // `5 6` are not numbers.
+        if (used != num.size())
+            err(line, "bad number '" + t + "'");
         return neg ? -value : value;
     }
     auto it = syms.find(num);
@@ -303,6 +309,17 @@ parseExpr(const std::string &expr, const SymbolTable &syms, int line)
             err(line, "expression out of range: '" + t + "'");
     }
     return total;
+}
+
+/** A `.word` or `.equ` value: any 32-bit pattern, written signed or
+ *  unsigned (as `.byte` takes -128..255). */
+std::uint32_t
+parseWord(const std::string &expr, const SymbolTable &syms, int line)
+{
+    std::int64_t v = parseExpr(expr, syms, line);
+    if (v < INT32_MIN || v > UINT32_MAX)
+        err(line, "32-bit value out of range: '" + trim(expr) + "'");
+    return static_cast<std::uint32_t>(v);
 }
 
 /** Memory operand: [reg], [reg + expr], [reg - expr]. */
@@ -577,7 +594,12 @@ assemble(const std::string &source, Addr origin)
         }
     }
 
-    // Pass 1: label addresses, .equ values, location counting.
+    // Pass 1: label addresses, .equ values, location counting. The
+    // counter stays inside the address space, so pass 2 never emits
+    // (or allocates) past it.
+    const auto outside = [](std::int64_t lc) {
+        return lc < 0 || lc > static_cast<std::int64_t>(mem::addrSpaceSize);
+    };
     SymbolTable syms;
     {
         Addr lc = origin;
@@ -590,8 +612,12 @@ assemble(const std::string &source, Addr origin)
             }
             if (line.op == ".org") {
                 expectOperands(line, 1);
-                lc = static_cast<Addr>(
-                    parseExpr(line.operands[0], syms, line.number));
+                std::int64_t to =
+                    parseExpr(line.operands[0], syms, line.number);
+                if (outside(to))
+                    err(line.number,
+                        ".org outside the 64 KiB address space");
+                lc = static_cast<Addr>(to);
                 // A label on the same line binds to the new counter.
                 if (!line.label.empty())
                     syms[line.label] = lc;
@@ -603,11 +629,15 @@ assemble(const std::string &source, Addr origin)
                 if (syms.count(name))
                     err(line.number,
                         "duplicate symbol '" + name + "'");
-                syms[name] = static_cast<std::uint32_t>(
-                    parseExpr(line.operands[1], syms, line.number));
+                syms[name] =
+                    parseWord(line.operands[1], syms, line.number);
                 continue;
             }
-            lc += static_cast<Addr>(lineSize(line, syms, lc));
+            std::size_t size = lineSize(line, syms, lc);
+            if (outside(std::int64_t{lc} + static_cast<std::int64_t>(size)))
+                err(line.number,
+                    "location counter passes the 64 KiB address space");
+            lc += static_cast<Addr>(size);
         }
     }
 
@@ -643,11 +673,8 @@ assemble(const std::string &source, Addr origin)
             continue;
         }
         if (line.op == ".word") {
-            for (const auto &operand : line.operands) {
-                emitWord(prog, lc,
-                         static_cast<std::uint32_t>(
-                             parseExpr(operand, syms, ln)));
-            }
+            for (const auto &operand : line.operands)
+                emitWord(prog, lc, parseWord(operand, syms, ln));
             continue;
         }
         if (line.op == ".byte") {

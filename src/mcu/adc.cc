@@ -64,7 +64,6 @@ Adc::start(unsigned channel)
     done = false;
     curChannel = channel;
     power.setLoadEnabled(convLoad, true);
-    convDueAt = cursor.now() + conversionTime;
     convEvent = cursor.scheduleIn(conversionTime,
                                   [this] { finish(); });
 }
@@ -95,34 +94,14 @@ Adc::powerLost()
 }
 
 void
-Adc::saveState(sim::SnapshotWriter &w) const
+Adc::state(sim::StateIo &io)
 {
-    w.section("adc");
-    w.u32(curChannel);
-    w.u32(value);
-    w.boolean(busy);
-    w.boolean(done);
-    w.pendingEvent(convEvent, convDueAt);
-}
-
-void
-Adc::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
-{
-    r.section("adc");
-    curChannel = r.u32();
-    value = r.u32();
-    busy = r.boolean();
-    done = r.boolean();
-    if (convEvent != sim::invalidEventId) {
-        sim().cancel(convEvent);
-        convEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { finish(); },
-        [this](sim::EventId id, sim::Tick due) {
-            convEvent = id;
-            convDueAt = due;
-        });
+    io.section("adc");
+    io.u32(curChannel);
+    io.u32(value);
+    io.boolean(busy);
+    io.boolean(done);
+    io.event(convEvent, [this] { finish(); });
 }
 
 } // namespace edb::mcu

@@ -24,9 +24,7 @@
 #include "sim/time_cursor.hh"
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
-class EventRearmer;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::mcu {
@@ -65,12 +63,8 @@ class Adc : public sim::Component
     /** Abort any conversion (reboot). */
     void powerLost();
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r,
-                      sim::EventRearmer &rearmer);
-    /// @}
+    /** Snapshot fields, both directions (see sim/snapshot.hh). */
+    void state(sim::StateIo &io);
 
   private:
     void start(unsigned channel);
@@ -85,7 +79,6 @@ class Adc : public sim::Component
     bool busy = false;
     bool done = false;
     sim::EventId convEvent = sim::invalidEventId;
-    sim::Tick convDueAt = 0;
 };
 
 } // namespace edb::mcu

@@ -89,24 +89,13 @@ DebugPort::powerLost()
 }
 
 void
-DebugPort::saveState(sim::SnapshotWriter &w) const
+DebugPort::state(sim::StateIo &io)
 {
-    w.section("dbgport");
-    w.boolean(req);
-    w.u32(bkptMask);
-    w.u64(markers);
-    dbgUart.saveState(w);
-}
-
-void
-DebugPort::restoreState(sim::SnapshotReader &r,
-                        sim::EventRearmer &rearmer)
-{
-    r.section("dbgport");
-    req = r.boolean(); // raw: restored observers re-attach fresh
-    bkptMask = r.u32();
-    markers = r.u64();
-    dbgUart.restoreState(r, rearmer);
+    io.section("dbgport");
+    io.boolean(req); // raw: restored observers re-attach fresh
+    io.u32(bkptMask);
+    io.u64(markers);
+    dbgUart.state(io);
 }
 
 } // namespace edb::mcu

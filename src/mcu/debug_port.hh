@@ -83,13 +83,9 @@ class DebugPort : public sim::Component
     /** Reset on power loss. */
     void powerLost();
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// Includes the nested debug UART.
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r,
-                      sim::EventRearmer &rearmer);
-    /// @}
+    /** Snapshot fields, both directions (see sim/snapshot.hh),
+     *  the nested debug UART included. */
+    void state(sim::StateIo &io);
 
   private:
     void pulseMarker(std::uint32_t id);

@@ -64,19 +64,11 @@ Gpio::powerLost()
 }
 
 void
-Gpio::saveState(sim::SnapshotWriter &w) const
+Gpio::state(sim::StateIo &io)
 {
-    w.section("gpio");
-    w.u32(out);
-    w.u32(in);
-}
-
-void
-Gpio::restoreState(sim::SnapshotReader &r)
-{
-    r.section("gpio");
-    out = r.u32();
-    in = r.u32();
+    io.section("gpio");
+    io.u32(out);
+    io.u32(in);
 }
 
 } // namespace edb::mcu

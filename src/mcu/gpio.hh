@@ -20,8 +20,7 @@
 #include "sim/time_cursor.hh"
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::mcu {
@@ -55,13 +54,10 @@ class Gpio : public sim::Component
     /** Reset on power loss: all outputs low (listeners notified). */
     void powerLost();
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// Restore writes the pin words raw — no listener notifications,
-    /// since the restored run's observers re-attach fresh.
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
-    /// @}
+    /** Snapshot fields, both directions (see sim/snapshot.hh).
+     *  Restore writes the pin words raw — no listener notifications,
+     *  since the restored run's observers re-attach fresh. */
+    void state(sim::StateIo &io);
 
   private:
     void writeOut(std::uint32_t value);

@@ -95,7 +95,6 @@ I2cController::start(bool is_read)
     done = false;
     curIsRead = is_read;
     power.setLoadEnabled(busLoad, true);
-    busDueAt = cursor.now() + transactionTime();
     busEvent = cursor.scheduleIn(transactionTime(), [this] { finish(); });
 }
 
@@ -132,39 +131,16 @@ I2cController::powerLost()
 }
 
 void
-I2cController::saveState(sim::SnapshotWriter &w) const
+I2cController::state(sim::StateIo &io)
 {
-    w.section("i2c");
-    w.u8(curAddr);
-    w.u8(curReg);
-    w.u8(curData);
-    w.boolean(curIsRead);
-    w.boolean(inFlight);
-    w.boolean(done);
-    w.pendingEvent(busEvent, busDueAt);
-}
-
-void
-I2cController::restoreState(sim::SnapshotReader &r,
-                            sim::EventRearmer &rearmer)
-{
-    r.section("i2c");
-    curAddr = r.u8();
-    curReg = r.u8();
-    curData = r.u8();
-    curIsRead = r.boolean();
-    inFlight = r.boolean();
-    done = r.boolean();
-    if (busEvent != sim::invalidEventId) {
-        sim().cancel(busEvent);
-        busEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { finish(); },
-        [this](sim::EventId id, sim::Tick due) {
-            busEvent = id;
-            busDueAt = due;
-        });
+    io.section("i2c");
+    io.u8(curAddr);
+    io.u8(curReg);
+    io.u8(curData);
+    io.boolean(curIsRead);
+    io.boolean(inFlight);
+    io.boolean(done);
+    io.event(busEvent, [this] { finish(); });
 }
 
 } // namespace edb::mcu

@@ -22,9 +22,7 @@
 #include "sim/time_cursor.hh"
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
-class EventRearmer;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::mcu {
@@ -83,12 +81,8 @@ class I2cController : public sim::Component
     /** Duration of one register transaction on the wire. */
     sim::Tick transactionTime() const;
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r,
-                      sim::EventRearmer &rearmer);
-    /// @}
+    /** Snapshot fields, both directions (see sim/snapshot.hh). */
+    void state(sim::StateIo &io);
 
   private:
     void start(bool is_read);
@@ -108,7 +102,6 @@ class I2cController : public sim::Component
     bool inFlight = false;
     bool done = false;
     sim::EventId busEvent = sim::invalidEventId;
-    sim::Tick busDueAt = 0;
 };
 
 } // namespace edb::mcu

@@ -40,19 +40,11 @@ Led::powerLost()
 }
 
 void
-Led::saveState(sim::SnapshotWriter &w) const
+Led::state(sim::StateIo &io)
 {
-    w.section("led");
-    w.boolean(on);
-    w.u64(blinks);
-}
-
-void
-Led::restoreState(sim::SnapshotReader &r)
-{
-    r.section("led");
-    on = r.boolean();
-    blinks = r.u64();
+    io.section("led");
+    io.boolean(on);
+    io.u64(blinks);
 }
 
 } // namespace edb::mcu

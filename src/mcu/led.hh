@@ -19,8 +19,7 @@
 #include "sim/simulator.hh"
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::mcu {
@@ -44,13 +43,10 @@ class Led : public sim::Component
     /** Reset on power loss. */
     void powerLost();
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// Raw member restore; the LED's supply load is restored
-    /// positionally by PowerSystem.
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
-    /// @}
+    /** Snapshot fields, both directions (see sim/snapshot.hh).
+     *  Raw member restore; the LED's supply load is restored
+     *  positionally by PowerSystem. */
+    void state(sim::StateIo &io);
 
   private:
     void set(bool level);

@@ -170,7 +170,7 @@ Mcu::icacheEnsure()
     // (the map clears the valid byte directly). Bulk mutations that
     // bypass the map (Ram::load, SRAM poison) are handled by the
     // explicit icacheInvalidateAll calls in loadProgram,
-    // onPowerChange and restoreState.
+    // onPowerChange and state().
     mem_.setWriteWatch(lo, hi, icacheValid_.data());
 }
 
@@ -229,7 +229,6 @@ Mcu::onPowerChange(bool on)
         state_ = McuState::Booting;
         power.setLoadCurrent(coreLoad, activeAmps);
         power.setLoadEnabled(coreLoad, true);
-        bootDueAt = cursor.now() + bootDelay;
         bootEvent = cursor.scheduleIn(bootDelay, [this] { boot(); });
         return;
     }
@@ -278,8 +277,7 @@ Mcu::boot()
     power.setLoadEnabled(coreLoad, true);
     if (chkptEnabled)
         tryRestore();
-    sliceDueAt = cursor.now();
-    sliceEvent = sim().schedule(sliceDueAt, [this] { runSlice(); });
+    sliceEvent = sim().schedule(cursor.now(), [this] { runSlice(); });
 }
 
 void
@@ -327,10 +325,8 @@ Mcu::runSlice()
                 break;
         }
     }
-    if (state_ == McuState::Running) {
-        sliceDueAt = t;
+    if (state_ == McuState::Running)
         sliceEvent = sim().schedule(t, [this] { runSlice(); });
-    }
 }
 
 bool
@@ -1160,79 +1156,38 @@ Mcu::debugWrite32(mem::Addr addr, std::uint32_t value)
 }
 
 void
-Mcu::saveState(sim::SnapshotWriter &w) const
+Mcu::state(sim::StateIo &io)
 {
-    w.section("mcu");
-    for (std::uint32_t r : regs)
-        w.u32(r);
-    w.u32(pc_);
-    w.u32(flags_.pack());
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.u8(static_cast<std::uint8_t>(fault_));
-    w.u32(entry);
-    w.u32(irqHandler);
-    w.boolean(irqLine);
-    w.boolean(inIrq);
-    w.boolean(chkptEnabled);
-    w.u64(sleepCycles);
-    w.u64(cycles);
-    w.u64(instrs);
-    w.u64(reboots);
-    w.u64(faults);
-    w.u64(checkpointsTaken);
-    w.u64(checkpointsRestored);
-    w.u64(tornCommits_);
-    w.pendingEvent(sliceEvent, sliceDueAt);
-    w.pendingEvent(bootEvent, bootDueAt);
-}
-
-void
-Mcu::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
-{
-    r.section("mcu");
+    io.section("mcu");
     for (std::uint32_t &reg : regs)
-        reg = r.u32();
-    pc_ = r.u32();
-    flags_ = isa::Flags::unpack(r.u32());
-    state_ = static_cast<McuState>(r.u8());
-    fault_ = static_cast<McuFault>(r.u8());
-    entry = r.u32();
-    irqHandler = r.u32();
-    irqLine = r.boolean();
-    inIrq = r.boolean();
-    chkptEnabled = r.boolean();
-    sleepCycles = r.u64();
-    cycles = r.u64();
-    instrs = r.u64();
-    reboots = r.u64();
-    faults = r.u64();
-    checkpointsTaken = r.u64();
-    checkpointsRestored = r.u64();
-    tornCommits_ = r.u64();
-    // The predecode cache is not architectural state: restored
-    // memory may differ arbitrarily from the pre-restore image, so
-    // drop it and let it refill (bit-identical either way).
-    icacheInvalidateAll();
-    if (sliceEvent != sim::invalidEventId) {
-        sim().cancel(sliceEvent);
-        sliceEvent = sim::invalidEventId;
+        io.u32(reg);
+    io.u32(pc_);
+    std::uint32_t flags = flags_.pack();
+    io.u32(flags);
+    io.u8(state_);
+    io.u8(fault_);
+    io.u32(entry);
+    io.u32(irqHandler);
+    io.boolean(irqLine);
+    io.boolean(inIrq);
+    io.boolean(chkptEnabled);
+    io.u64(sleepCycles);
+    io.u64(cycles);
+    io.u64(instrs);
+    io.u64(reboots);
+    io.u64(faults);
+    io.u64(checkpointsTaken);
+    io.u64(checkpointsRestored);
+    io.u64(tornCommits_);
+    if (io.restoring()) {
+        flags_ = isa::Flags::unpack(flags);
+        // The predecode cache is not architectural state: restored
+        // memory may differ arbitrarily from the pre-restore image,
+        // so drop it and let it refill (bit-identical either way).
+        icacheInvalidateAll();
     }
-    if (bootEvent != sim::invalidEventId) {
-        sim().cancel(bootEvent);
-        bootEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { runSlice(); },
-        [this](sim::EventId id, sim::Tick due) {
-            sliceEvent = id;
-            sliceDueAt = due;
-        });
-    r.pendingEvent(
-        rearmer, [this] { boot(); },
-        [this](sim::EventId id, sim::Tick due) {
-            bootEvent = id;
-            bootDueAt = due;
-        });
+    io.event(sliceEvent, [this] { runSlice(); });
+    io.event(bootEvent, [this] { boot(); });
 }
 
 } // namespace edb::mcu

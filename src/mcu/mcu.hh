@@ -33,9 +33,7 @@ class NvRegion;
 } // namespace edb::mem
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
-class EventRearmer;
+class StateIo;
 class FaultInjector;
 } // namespace edb::sim
 
@@ -235,12 +233,8 @@ class Mcu : public sim::Component
     /** Commits that ended torn (power lost mid-burst). */
     std::uint64_t tornCommitCount() const { return tornCommits_; }
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r,
-                      sim::EventRearmer &rearmer);
-    /// @}
+    /** Snapshot fields, both directions (see sim/snapshot.hh). */
+    void state(sim::StateIo &io);
 
     /** Live checkpoint-unit enable (also via MMIO chkptCtl). */
     void setCheckpointingEnabled(bool on) { chkptEnabled = on; }
@@ -393,9 +387,6 @@ class Mcu : public sim::Component
 
     sim::EventId sliceEvent = sim::invalidEventId;
     sim::EventId bootEvent = sim::invalidEventId;
-    /** Due times of the pending events (snapshot save). */
-    sim::Tick sliceDueAt = 0;
-    sim::Tick bootDueAt = 0;
 
     mem::NvAuditor *audit_ = nullptr;
     mem::NvRegion *nv_ = nullptr;

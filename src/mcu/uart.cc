@@ -70,7 +70,6 @@ Uart::startTx(std::uint8_t byte)
     busy = true;
     shifting = byte;
     power.setLoadEnabled(txLoad, true);
-    txDueAt = cursor.now() + byteTime();
     txEvent = cursor.scheduleIn(byteTime(), [this] { finishTx(); });
 }
 
@@ -110,42 +109,18 @@ Uart::powerLost()
 }
 
 void
-Uart::saveState(sim::SnapshotWriter &w) const
+Uart::state(sim::StateIo &io)
 {
-    w.section("uart");
-    w.boolean(busy);
-    w.u8(shifting);
-    w.u64(txCount);
-    w.u64(txDropped);
-    w.u32(static_cast<std::uint32_t>(rxFifo.size()));
-    for (std::uint8_t b : rxFifo)
-        w.u8(b);
-    w.pendingEvent(txEvent, txDueAt);
-}
-
-void
-Uart::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
-{
-    r.section("uart");
-    busy = r.boolean();
-    shifting = r.u8();
-    txCount = r.u64();
-    txDropped = r.u64();
-    rxFifo.clear();
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i)
-        rxFifo.push_back(r.u8());
+    io.section("uart");
+    io.boolean(busy);
+    io.u8(shifting);
+    io.u64(txCount);
+    io.u64(txDropped);
+    rxFifo.resize(io.count<std::uint32_t>(rxFifo.size()));
+    for (std::uint8_t &b : rxFifo)
+        io.u8(b);
     // The txLoad enable is restored positionally by PowerSystem.
-    if (txEvent != sim::invalidEventId) {
-        sim().cancel(txEvent);
-        txEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { finishTx(); },
-        [this](sim::EventId id, sim::Tick due) {
-            txEvent = id;
-            txDueAt = due;
-        });
+    io.event(txEvent, [this] { finishTx(); });
 }
 
 } // namespace edb::mcu

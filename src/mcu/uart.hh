@@ -24,9 +24,7 @@
 #include "sim/time_cursor.hh"
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
-class EventRearmer;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::mcu {
@@ -85,12 +83,8 @@ class Uart : public sim::Component
     /** Abort any in-flight byte and clear FIFOs (reboot). */
     void powerLost();
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r,
-                      sim::EventRearmer &rearmer);
-    /// @}
+    /** Snapshot fields, both directions (see sim/snapshot.hh). */
+    void state(sim::StateIo &io);
 
   private:
     void startTx(std::uint8_t byte);
@@ -104,7 +98,6 @@ class Uart : public sim::Component
     bool busy = false;
     std::uint8_t shifting = 0;
     sim::EventId txEvent = sim::invalidEventId;
-    sim::Tick txDueAt = 0;
     std::uint64_t txCount = 0;
     std::uint64_t txDropped = 0;
 

@@ -97,29 +97,17 @@ Ram::load(Addr addr, const std::uint8_t *data, std::size_t len)
 }
 
 void
-Ram::saveState(sim::SnapshotWriter &w) const
+Ram::state(sim::StateIo &io)
 {
-    w.section("ram");
-    w.blob(store.data(), store.size());
-    w.u64(writes);
-}
-
-void
-Ram::restoreState(sim::SnapshotReader &r)
-{
-    r.section("ram");
-    std::vector<std::uint8_t> contents = r.blob();
-    if (contents.size() != store.size()) {
-        // Size mismatch means the snapshot was taken on a different
-        // memory layout; leave contents alone and let the caller's
-        // ok() check reject the restore.
-        r.invalidate();
+    io.section("ram");
+    // A size mismatch means the snapshot was taken on a different
+    // memory layout; leave the contents alone and fail the restore.
+    if (!io.check(io.count<std::uint64_t>(store.size()) == store.size()))
         return;
-    }
     // Copy in place: the backing buffer must not move, other parts
     // of the system (direct-store readers) hold pointers into it.
-    std::copy(contents.begin(), contents.end(), store.begin());
-    writes = r.u64();
+    io.bytes(store.data(), store.size());
+    io.u64(writes);
 }
 
 MmioRegion::MmioRegion(std::string region_name, Addr base_addr,

@@ -21,8 +21,7 @@
 #include <vector>
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::mem {
@@ -140,10 +139,9 @@ class Ram : public Region
     /** Number of writes since construction (wear statistics). */
     std::uint64_t writeCount() const { return writes; }
 
-    /** Serialize contents + wear counter. */
-    void saveState(sim::SnapshotWriter &w) const;
-    /** Restore contents + wear counter (sizes must match). */
-    void restoreState(sim::SnapshotReader &r);
+    /** Snapshot fields, both directions (see sim/snapshot.hh):
+     *  contents + wear counter (sizes must match). */
+    void state(sim::StateIo &io);
 
   private:
     std::vector<std::uint8_t> store;

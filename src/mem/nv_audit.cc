@@ -207,76 +207,57 @@ NvAuditor::takeFindings()
 void
 NvAuditor::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("nvau");
-    for (unsigned r = 0; r < numRegs; ++r) {
-        w.boolean(tainted[r]);
-        w.u32(guide[r]);
-    }
-    w.u32(static_cast<std::uint32_t>(records.size()));
-    for (const Record &rec : records) {
-        w.u32(rec.guideAddr);
-        w.u32(rec.storeAddr);
-        w.u32(rec.storePc);
-        w.u64(rec.interval);
-    }
-    w.u32(static_cast<std::uint32_t>(findings_.size()));
-    for (const NvFinding &f : findings_) {
-        w.u32(f.guideAddr);
-        w.u32(f.storeAddr);
-        w.u32(f.storePc);
-        w.u64(f.interval);
-        w.tick(f.lossTick);
-    }
-    w.u64(violations);
-    w.u64(interval);
-    w.u64(readsThisInterval);
-    w.u64(writesThisInterval);
-    w.boolean(shadowValid_);
-    w.tick(shadowTick_);
-    w.blob(shadow.data(), shadow.size());
-    for (int slot = 0; slot < 2; ++slot) {
-        w.boolean(commitCrcValid_[slot]);
-        w.u32(commitCrc_[slot]);
-    }
-    w.u64(unsealedRestores_);
+    sim::StateIo io(w);
+    const_cast<NvAuditor &>(*this).state(io); // saving only reads
 }
 
 void
 NvAuditor::restoreState(sim::SnapshotReader &r)
 {
-    if (!r.section("nvau"))
+    sim::StateIo io(r);
+    state(io);
+}
+
+void
+NvAuditor::state(sim::StateIo &io)
+{
+    if (!io.section("nvau"))
         return;
-    for (unsigned i = 0; i < numRegs; ++i) {
-        tainted[i] = r.boolean();
-        guide[i] = r.u32();
+    for (unsigned r = 0; r < numRegs; ++r) {
+        io.boolean(tainted[r]);
+        io.u32(guide[r]);
     }
-    records.resize(r.u32());
+    // A record takes 20 wire bytes (three u32 and a u64), a finding
+    // 28 (plus its tick), so a count the image cannot hold fails
+    // before anything is allocated.
+    records.resize(io.count<std::uint32_t>(records.size(), 20));
     for (Record &rec : records) {
-        rec.guideAddr = r.u32();
-        rec.storeAddr = r.u32();
-        rec.storePc = r.u32();
-        rec.interval = r.u64();
+        io.u32(rec.guideAddr);
+        io.u32(rec.storeAddr);
+        io.u32(rec.storePc);
+        io.u64(rec.interval);
     }
-    findings_.resize(r.u32());
+    findings_.resize(io.count<std::uint32_t>(findings_.size(), 28));
     for (NvFinding &f : findings_) {
-        f.guideAddr = r.u32();
-        f.storeAddr = r.u32();
-        f.storePc = r.u32();
-        f.interval = r.u64();
-        f.lossTick = r.tick();
+        io.u32(f.guideAddr);
+        io.u32(f.storeAddr);
+        io.u32(f.storePc);
+        io.u64(f.interval);
+        io.u64(f.lossTick);
     }
-    violations = r.u64();
-    interval = r.u64();
-    readsThisInterval = r.u64();
-    writesThisInterval = r.u64();
-    shadowValid_ = r.boolean();
-    shadowTick_ = r.tick();
-    shadow = r.blob();
+    io.u64(violations);
+    io.u64(interval);
+    io.u64(readsThisInterval);
+    io.u64(writesThisInterval);
+    io.boolean(shadowValid_);
+    io.u64(shadowTick_);
+    shadow.resize(io.count<std::uint64_t>(shadow.size()));
+    io.bytes(shadow.data(), shadow.size());
     for (int slot = 0; slot < 2; ++slot) {
-        commitCrcValid_[slot] = r.boolean();
-        commitCrc_[slot] = r.u32();
+        io.boolean(commitCrcValid_[slot]);
+        io.u32(commitCrc_[slot]);
     }
-    unsealedRestores_ = r.u64();
+    io.u64(unsealedRestores_);
 }
 
 std::vector<Addr>

@@ -57,6 +57,7 @@
 namespace edb::sim {
 class SnapshotWriter;
 class SnapshotReader;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::mem {
@@ -200,6 +201,9 @@ class NvAuditor
     /// @}
 
   private:
+    /** Snapshot fields, both directions; the pair above wraps it. */
+    void state(sim::StateIo &io);
+
     struct Record
     {
         Addr guideAddr;

@@ -168,38 +168,22 @@ NvRegion::wornWords() const
 }
 
 void
-NvRegion::saveState(sim::SnapshotWriter &w) const
+NvRegion::state(sim::StateIo &io)
 {
-    Ram::saveState(w);
-    w.section("nvrg");
-    w.u64(wear_.size());
-    for (std::uint64_t count : wear_)
-        w.u64(count);
-    w.boolean(burstOpen_);
-    w.u32(burstAddr_);
-    w.u32(burstWords_);
-    w.u64(tornWrites_);
-    w.u32(static_cast<std::uint32_t>(commitSlot_));
-}
-
-void
-NvRegion::restoreState(sim::SnapshotReader &r)
-{
-    Ram::restoreState(r);
-    if (!r.section("nvrg"))
+    Ram::state(io);
+    if (!io.section("nvrg"))
         return;
-    if (r.u64() != wear_.size()) {
-        // Taken on a region with another NV technology table.
-        r.invalidate();
+    // A wear table of another length was taken on a region with
+    // another NV technology table.
+    if (!io.check(io.count<std::uint64_t>(wear_.size()) == wear_.size()))
         return;
-    }
     for (std::uint64_t &count : wear_)
-        count = r.u64();
-    burstOpen_ = r.boolean();
-    burstAddr_ = r.u32();
-    burstWords_ = r.u32();
-    tornWrites_ = r.u64();
-    commitSlot_ = static_cast<int>(r.u32());
+        io.u64(count);
+    io.boolean(burstOpen_);
+    io.u32(burstAddr_);
+    io.u32(burstWords_);
+    io.u64(tornWrites_);
+    io.u32(commitSlot_);
 }
 
 } // namespace edb::mem

@@ -150,10 +150,10 @@ class NvRegion : public Ram
     int commitSlot() const { return commitSlot_; }
     /// @}
 
-    /** Serialize Ram contents + NV backend state (wear table,
-     *  in-flight burst latch, commit-buffer selector). */
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    /** Snapshot fields, both directions: Ram contents + NV backend
+     *  state (wear table, in-flight burst latch, commit-buffer
+     *  selector). */
+    void state(sim::StateIo &io);
 
   private:
     /** Apply wear accounting + stuck-at masking for one word write;

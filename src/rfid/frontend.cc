@@ -103,8 +103,9 @@ RfFrontend::startTx()
     txFrame.clear();
     sim::Tick when = cursor.now();
     channel.send(Direction::TagToReader, frame, when);
-    txDueAt = when + channel.airTime(Direction::TagToReader, frame);
-    txEvent = sim().schedule(txDueAt, [this] { finishTx(); });
+    txEvent = sim().schedule(
+        when + channel.airTime(Direction::TagToReader, frame),
+        [this] { finishTx(); });
 }
 
 void
@@ -132,57 +133,24 @@ RfFrontend::powerLost()
 }
 
 void
-RfFrontend::saveState(sim::SnapshotWriter &w) const
+RfFrontend::state(sim::StateIo &io)
 {
-    w.section("rf");
-    w.u32(static_cast<std::uint32_t>(rxFifo.size()));
-    for (const auto &frame : rxFifo) {
-        w.u32(static_cast<std::uint32_t>(frame.size()));
-        for (std::uint8_t b : frame)
-            w.u8(b);
+    io.section("rf");
+    // A frame takes at least its u32 length on the wire.
+    rxFifo.resize(io.count<std::uint32_t>(rxFifo.size(), 4));
+    for (auto &frame : rxFifo) {
+        frame.resize(io.count<std::uint32_t>(frame.size()));
+        for (std::uint8_t &b : frame)
+            io.u8(b);
     }
-    w.u32(static_cast<std::uint32_t>(txFrame.size()));
-    for (std::uint8_t b : txFrame)
-        w.u8(b);
-    w.boolean(txActive);
-    w.u64(rxCount);
-    w.u64(txCount);
-    w.u64(rxDropped);
-    w.pendingEvent(txEvent, txDueAt);
-}
-
-void
-RfFrontend::restoreState(sim::SnapshotReader &r,
-                         sim::EventRearmer &rearmer)
-{
-    r.section("rf");
-    rxFifo.clear();
-    std::uint32_t nframes = r.u32();
-    for (std::uint32_t i = 0; i < nframes && r.ok(); ++i) {
-        std::deque<std::uint8_t> frame;
-        std::uint32_t len = r.u32();
-        for (std::uint32_t j = 0; j < len && r.ok(); ++j)
-            frame.push_back(r.u8());
-        rxFifo.push_back(std::move(frame));
-    }
-    txFrame.clear();
-    std::uint32_t txlen = r.u32();
-    for (std::uint32_t i = 0; i < txlen && r.ok(); ++i)
-        txFrame.push_back(r.u8());
-    txActive = r.boolean();
-    rxCount = r.u64();
-    txCount = r.u64();
-    rxDropped = r.u64();
-    if (txEvent != sim::invalidEventId) {
-        sim().cancel(txEvent);
-        txEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { finishTx(); },
-        [this](sim::EventId id, sim::Tick due) {
-            txEvent = id;
-            txDueAt = due;
-        });
+    txFrame.resize(io.count<std::uint32_t>(txFrame.size()));
+    for (std::uint8_t &b : txFrame)
+        io.u8(b);
+    io.boolean(txActive);
+    io.u64(rxCount);
+    io.u64(txCount);
+    io.u64(rxDropped);
+    io.event(txEvent, [this] { finishTx(); });
 }
 
 } // namespace edb::rfid

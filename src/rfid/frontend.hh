@@ -23,9 +23,7 @@
 #include "sim/time_cursor.hh"
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
-class EventRearmer;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::rfid {
@@ -67,16 +65,12 @@ class RfFrontend : public sim::Component
     std::uint64_t framesDroppedUnpowered() const { return rxDropped; }
     /// @}
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// Restoring mid-backscatter rearms the completion event but does
-    /// not re-send on the channel: the original frame is already in
-    /// flight from the saved run's perspective, and reader-side state
-    /// is outside the tag snapshot boundary.
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r,
-                      sim::EventRearmer &rearmer);
-    /// @}
+    /** Snapshot fields, both directions (see sim/snapshot.hh).
+     *  Restoring mid-backscatter rearms the completion event but
+     *  does not re-send on the channel: the original frame is
+     *  already in flight from the saved run's perspective, and
+     *  reader-side state is outside the tag snapshot boundary. */
+    void state(sim::StateIo &io);
 
   private:
     void startTx();
@@ -92,7 +86,6 @@ class RfFrontend : public sim::Component
     std::vector<std::uint8_t> txFrame;
     bool txActive = false;
     sim::EventId txEvent = sim::invalidEventId;
-    sim::Tick txDueAt = 0;
 
     std::uint64_t rxCount = 0;
     std::uint64_t txCount = 0;

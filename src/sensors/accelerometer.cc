@@ -86,31 +86,17 @@ Accelerometer::writeReg(std::uint8_t reg, std::uint8_t value)
 }
 
 void
-Accelerometer::saveState(sim::SnapshotWriter &w) const
+Accelerometer::state(sim::StateIo &io)
 {
-    w.section("accel");
-    w.boolean(isMoving);
-    w.tick(stateUntil);
-    w.u32(static_cast<std::uint16_t>(x));
-    w.u32(static_cast<std::uint16_t>(y));
-    w.u32(static_cast<std::uint16_t>(z));
-    w.u8(ctrlReg);
-    w.u64(samples);
-    w.u64(movingLatched);
-}
-
-void
-Accelerometer::restoreState(sim::SnapshotReader &r)
-{
-    r.section("accel");
-    isMoving = r.boolean();
-    stateUntil = r.tick();
-    x = static_cast<std::int16_t>(static_cast<std::uint16_t>(r.u32()));
-    y = static_cast<std::int16_t>(static_cast<std::uint16_t>(r.u32()));
-    z = static_cast<std::int16_t>(static_cast<std::uint16_t>(r.u32()));
-    ctrlReg = r.u8();
-    samples = r.u64();
-    movingLatched = r.u64();
+    io.section("accel");
+    io.boolean(isMoving);
+    io.u64(stateUntil);
+    io.u32(x);
+    io.u32(y);
+    io.u32(z);
+    io.u8(ctrlReg);
+    io.u64(samples);
+    io.u64(movingLatched);
 }
 
 } // namespace edb::sensors

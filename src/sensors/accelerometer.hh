@@ -19,8 +19,7 @@
 #include "sim/simulator.hh"
 
 namespace edb::sim {
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 } // namespace edb::sim
 
 namespace edb::sensors {
@@ -76,14 +75,11 @@ class Accelerometer : public sim::Component, public mcu::I2cDevice
     /** Ground-truth count of samples latched while moving. */
     std::uint64_t movingSamples() const { return movingLatched; }
 
-    /// @name Snapshot support (see sim/snapshot.hh)
-    /// The motion profile draws the shared simulator RNG, which the
-    /// snapshot restores separately; only the latched state lives
-    /// here.
-    /// @{
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
-    /// @}
+    /** Snapshot fields, both directions (see sim/snapshot.hh).
+     *  The motion profile draws the shared simulator RNG, which the
+     *  snapshot restores separately; only the latched state lives
+     *  here. */
+    void state(sim::StateIo &io);
 
   private:
     void maybeAdvanceState();

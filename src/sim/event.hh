@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "sim/time.hh"
@@ -61,6 +62,18 @@ class EventQueue
         heap.erase(it);
         std::make_heap(heap.begin(), heap.end(), later);
         return true;
+    }
+
+    /** Due time of a pending event; nullopt for an id that is not
+     *  pending. Scans the pending events, as `cancel` does. */
+    std::optional<Tick>
+    dueTime(EventId id) const
+    {
+        auto it = std::find_if(heap.begin(), heap.end(),
+                               [id](const Entry &e) { return e.id == id; });
+        if (it == heap.end())
+            return std::nullopt;
+        return it->when;
     }
 
     /** True when no events are pending. */

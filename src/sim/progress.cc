@@ -41,26 +41,28 @@ ProgressMonitor::rebase(std::uint64_t reboots, std::uint64_t commits)
 void
 ProgressMonitor::saveState(SnapshotWriter &w) const
 {
-    w.section("pmon");
-    w.u64(maxReboots);
-    w.u64(lastReboots);
-    w.u64(lastCommits);
-    w.u64(sinceCommit);
-    w.boolean(primed);
-    w.boolean(tripped_);
+    StateIo io(w);
+    const_cast<ProgressMonitor &>(*this).state(io); // saving only reads
 }
 
 void
 ProgressMonitor::restoreState(SnapshotReader &r)
 {
-    if (!r.section("pmon"))
+    StateIo io(r);
+    state(io);
+}
+
+void
+ProgressMonitor::state(StateIo &io)
+{
+    if (!io.section("pmon"))
         return;
-    maxReboots = r.u64();
-    lastReboots = r.u64();
-    lastCommits = r.u64();
-    sinceCommit = r.u64();
-    primed = r.boolean();
-    tripped_ = r.boolean();
+    io.u64(maxReboots);
+    io.u64(lastReboots);
+    io.u64(lastCommits);
+    io.u64(sinceCommit);
+    io.boolean(primed);
+    io.boolean(tripped_);
 }
 
 } // namespace edb::sim

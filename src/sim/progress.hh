@@ -14,6 +14,7 @@ namespace edb::sim {
 
 class SnapshotWriter;
 class SnapshotReader;
+class StateIo;
 
 /**
  * No-forward-progress detector for intermittent executions.
@@ -55,6 +56,9 @@ class ProgressMonitor
     /// @}
 
   private:
+    /** Snapshot fields, both directions; the pair above wraps it. */
+    void state(StateIo &io);
+
     std::uint64_t maxReboots;
     std::uint64_t lastReboots = 0;
     std::uint64_t lastCommits = 0;

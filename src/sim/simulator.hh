@@ -75,6 +75,12 @@ class Simulator
     /** Cancel a scheduled event. */
     bool cancel(EventId id) { return events.cancel(id); }
 
+    /** Due time of a pending event (nullopt when not pending). */
+    std::optional<Tick> dueTime(EventId id) const
+    {
+        return events.dueTime(id);
+    }
+
     /** Time of the next pending event (maxTick when idle). */
     Tick nextEventTime() { return events.nextTime(); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 
 namespace edb::sim {
 
@@ -61,13 +62,6 @@ SnapshotWriter::bytes(const void *data, std::size_t len)
 }
 
 void
-SnapshotWriter::blob(const void *data, std::size_t len)
-{
-    u64(len);
-    bytes(data, len);
-}
-
-void
 SnapshotWriter::section(const char *tag)
 {
     std::size_t len = std::strlen(tag);
@@ -86,16 +80,6 @@ SnapshotWriter::rng(const Rng &r)
     for (std::uint64_t w : s.out)
         u64(w);
     u32(s.index);
-}
-
-void
-SnapshotWriter::pendingEvent(EventId savedId, Tick when)
-{
-    boolean(savedId != invalidEventId);
-    if (savedId != invalidEventId) {
-        u64(savedId);
-        tick(when);
-    }
 }
 
 std::vector<std::uint8_t>
@@ -206,19 +190,6 @@ SnapshotReader::bytes(void *out, std::size_t len)
     pos += len;
 }
 
-std::vector<std::uint8_t>
-SnapshotReader::blob()
-{
-    std::uint64_t len = u64();
-    std::vector<std::uint8_t> out;
-    if (!need(len))
-        return out;
-    out.assign(payload.begin() + static_cast<std::ptrdiff_t>(pos),
-               payload.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    pos += len;
-    return out;
-}
-
 bool
 SnapshotReader::section(const char *tag)
 {
@@ -255,36 +226,92 @@ SnapshotReader::rng(Rng &r)
 }
 
 void
-SnapshotReader::pendingEvent(EventRearmer &rearmer,
-                             EventQueue::Callback cb,
-                             std::function<void(EventId, Tick)> assign)
-{
-    if (!boolean()) {
-        assign(invalidEventId, 0);
-        return;
-    }
-    EventId savedId = u64();
-    Tick when = tick();
-    if (!ok()) {
-        assign(invalidEventId, 0);
-        return;
-    }
-    rearmer.add(savedId, when, std::move(cb), std::move(assign));
-}
-
-void
 EventRearmer::flush()
 {
     std::sort(pending.begin(), pending.end(),
               [](const Pending &a, const Pending &b) {
                   return a.savedId < b.savedId;
               });
-    for (auto &p : pending) {
-        EventId fresh = sim_.schedule(p.when, std::move(p.cb));
-        if (p.assign)
-            p.assign(fresh, p.when);
-    }
+    for (auto &p : pending)
+        *p.slot = sim_.schedule(p.when, std::move(p.cb));
     pending.clear();
+}
+
+bool
+StateIo::section(const char *tag)
+{
+    if (r_)
+        return r_->section(tag);
+    w_->section(tag);
+    return true;
+}
+
+void
+StateIo::boolean(bool &v)
+{
+    if (r_)
+        v = r_->boolean();
+    else
+        w_->boolean(v);
+}
+
+void
+StateIo::f64(double &v)
+{
+    if (r_)
+        v = r_->f64();
+    else
+        w_->f64(v);
+}
+
+void
+StateIo::bytes(void *data, std::size_t len)
+{
+    if (len == 0) // an empty vector's data() may be null
+        return;
+    if (r_)
+        r_->bytes(data, len);
+    else
+        w_->bytes(data, len);
+}
+
+void
+StateIo::rng(Rng &r)
+{
+    if (r_)
+        r_->rng(r);
+    else
+        w_->rng(r);
+}
+
+bool
+StateIo::check(bool ok)
+{
+    if (!ok && r_)
+        r_->invalidate();
+    return ok;
+}
+
+void
+StateIo::event(EventId &id, EventQueue::Callback cb)
+{
+    if (!r_) {
+        std::optional<Tick> due = sim_->dueTime(id);
+        w_->boolean(due.has_value());
+        if (due) {
+            w_->u64(id);
+            w_->tick(*due);
+        }
+        return;
+    }
+    rearmer_->simulator().cancel(id);
+    id = invalidEventId;
+    if (!r_->boolean())
+        return;
+    EventId savedId = r_->u64();
+    Tick when = r_->tick();
+    if (r_->ok())
+        rearmer_->add(savedId, when, std::move(cb), id);
 }
 
 } // namespace edb::sim

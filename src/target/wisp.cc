@@ -146,52 +146,48 @@ Wisp::attachFaults(sim::FaultInjector *faults)
 void
 Wisp::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("wisp");
-    w.tick(sim().now());
-    w.tick(cursor.localTime());
-    w.rng(sim().rng());
-    power_.saveState(w);
-    sram.saveState(w);
-    fram.saveState(w);
-    gpio_.saveState(w);
-    uart_.saveState(w);
-    i2c_.saveState(w);
-    adc_.saveState(w);
-    led_.saveState(w);
-    debugPort_.saveState(w);
-    accel_.saveState(w);
-    w.boolean(rf_ != nullptr);
-    if (rf_)
-        rf_->saveState(w);
-    core.saveState(w);
+    sim::StateIo io(w, &sim());
+    const_cast<Wisp &>(*this).state(io); // saving only reads
 }
 
 void
 Wisp::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
 {
-    r.section("wisp");
-    sim().restoreClock(r.tick());
-    cursor.restoreLocal(r.tick());
-    r.rng(sim().rng());
-    power_.restoreState(r, rearmer);
-    sram.restoreState(r);
-    fram.restoreState(r);
-    gpio_.restoreState(r);
-    uart_.restoreState(r, rearmer);
-    i2c_.restoreState(r, rearmer);
-    adc_.restoreState(r, rearmer);
-    led_.restoreState(r);
-    debugPort_.restoreState(r, rearmer);
-    accel_.restoreState(r);
-    bool hasRf = r.boolean();
-    if (hasRf != (rf_ != nullptr)) {
-        // Snapshot taken on a device with a different RF build.
-        r.invalidate();
-        return;
+    sim::StateIo io(r, &rearmer);
+    state(io);
+}
+
+void
+Wisp::state(sim::StateIo &io)
+{
+    io.section("wisp");
+    sim::Tick now = sim().now();
+    sim::Tick local = cursor.localTime();
+    io.u64(now);
+    io.u64(local);
+    if (io.restoring()) {
+        sim().restoreClock(now);
+        cursor.restoreLocal(local);
     }
+    io.rng(sim().rng());
+    power_.state(io);
+    sram.state(io);
+    fram.state(io);
+    gpio_.state(io);
+    uart_.state(io);
+    i2c_.state(io);
+    adc_.state(io);
+    led_.state(io);
+    debugPort_.state(io);
+    accel_.state(io);
+    // The RF front end must be present on both sides or on neither.
+    bool hasRf = rf_ != nullptr;
+    io.boolean(hasRf);
+    if (!io.check(hasRf == (rf_ != nullptr)))
+        return;
     if (rf_)
-        rf_->restoreState(r, rearmer);
-    core.restoreState(r, rearmer);
+        rf_->state(io);
+    core.state(io);
 }
 
 } // namespace edb::target

@@ -46,7 +46,11 @@ class RfChannel;
 }
 
 namespace edb::sim {
+class EventRearmer;
 class FaultInjector;
+class SnapshotReader;
+class SnapshotWriter;
+class StateIo;
 }
 
 namespace edb::target {
@@ -176,6 +180,9 @@ class Wisp : public sim::Component
     /// @}
 
   private:
+    /** Snapshot fields, both directions; the pair above wraps it. */
+    void state(sim::StateIo &io);
+
     WispConfig cfg;
     sim::TimeCursor cursor;
     energy::PowerSystem power_;

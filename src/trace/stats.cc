@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/logging.hh"
-
 namespace edb::trace {
 
 void
@@ -101,34 +99,6 @@ SampleSet::cdfSeries(std::size_t points) const
         series.emplace_back(x, cdfAt(x));
     }
     return series;
-}
-
-Histogram::Histogram(double lo_bound, double hi_bound, std::size_t bin_count)
-    : lo(lo_bound), hi(hi_bound), counts(bin_count, 0)
-{
-    if (bin_count == 0 || hi_bound <= lo_bound)
-        sim::fatal("Histogram: need bins > 0 and hi > lo");
-}
-
-void
-Histogram::add(double x)
-{
-    double frac = (x - lo) / (hi - lo);
-    auto idx = static_cast<std::int64_t>(
-        frac * static_cast<double>(counts.size()));
-    if (idx < 0)
-        idx = 0;
-    if (idx >= static_cast<std::int64_t>(counts.size()))
-        idx = static_cast<std::int64_t>(counts.size()) - 1;
-    ++counts[static_cast<std::size_t>(idx)];
-    ++n;
-}
-
-double
-Histogram::binCenter(std::size_t i) const
-{
-    double width = (hi - lo) / static_cast<double>(counts.size());
-    return lo + width * (static_cast<double>(i) + 0.5);
 }
 
 } // namespace edb::trace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Summary statistics, histograms and empirical CDFs.
+ * Summary statistics and empirical CDFs.
  *
  * Used by the benchmark harnesses to report the paper's tables
  * (mean / standard deviation in Table 3, CDF series in Figure 11).
@@ -97,37 +97,6 @@ class SampleSet
     mutable std::vector<double> samples;
     mutable bool isSorted = true;
     Summary stats;
-};
-
-/**
- * Fixed-bin histogram over [lo, hi); out-of-range samples clamp into
- * the first / last bin.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Add one sample. */
-    void add(double x);
-
-    /** Number of bins. */
-    std::size_t bins() const { return counts.size(); }
-
-    /** Count in bin `i`. */
-    std::size_t binCount(std::size_t i) const { return counts.at(i); }
-
-    /** Center value of bin `i`. */
-    double binCenter(std::size_t i) const;
-
-    /** Total samples added. */
-    std::size_t total() const { return n; }
-
-  private:
-    double lo;
-    double hi;
-    std::vector<std::size_t> counts;
-    std::size_t n = 0;
 };
 
 } // namespace edb::trace

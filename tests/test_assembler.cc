@@ -266,6 +266,40 @@ TEST(AssemblerErrors, ImmediateRange)
         AsmError);
     EXPECT_THROW(assemble("    .word 0x100000001\n"), AsmError);
     EXPECT_NO_THROW(assemble("    .word 0xFFFFFFFF\n"));
+    // .word and .equ take any 32-bit pattern, signed or unsigned, and
+    // nothing wider (these two assembled as 0).
+    EXPECT_THROW(assemble("    .word 0x100000000\n"), AsmError);
+    EXPECT_THROW(assemble("    .word -4294967296\n"), AsmError);
+    EXPECT_THROW(assemble("    .word -2147483649\n"), AsmError);
+    EXPECT_THROW(assemble(".equ big, 0x100000000\n"), AsmError);
+    EXPECT_NO_THROW(assemble("    .word -2147483648\n"));
+    EXPECT_NO_THROW(assemble(".equ neg, -1\n    .word neg\n"));
+}
+
+TEST(AssemblerErrors, NumberWithTrailingBytes)
+{
+    // Each of these assembled as its leading digits.
+    EXPECT_THROW(assemble("    li r1, 12abc\n"), AsmError);
+    EXPECT_THROW(assemble("    li r1, 0x10zz\n"), AsmError);
+    EXPECT_THROW(assemble("    li r1, 5 6\n"), AsmError);
+    EXPECT_THROW(assemble("    .word 7q\n"), AsmError);
+    // Hex and octal literals still parse whole.
+    EXPECT_EQ(instrAt(assemble("    li r1, 0x10 + 010 - 2\n"), 0).imm,
+              16 + 8 - 2);
+}
+
+TEST(AssemblerErrors, LocationCounterStaysInAddressSpace)
+{
+    // Rejected in pass 1, before pass 2 allocates the space (this
+    // one asked for a 2 GiB buffer).
+    EXPECT_THROW(assemble("    .space 0x80000000\n"), AsmError);
+    EXPECT_THROW(assemble(".org -4\n    nop\n"), AsmError);
+    EXPECT_THROW(assemble(".org 0x10004\n"), AsmError);
+    EXPECT_THROW(assemble(".org 0xFFFC\n    nop\n    nop\n"), AsmError);
+    EXPECT_THROW(assemble(".org 0xFFF0\n    .space 17\n"), AsmError);
+    // Filling the space up to its last byte is fine.
+    EXPECT_NO_THROW(assemble(".org 0xFFFC\n    nop\n"));
+    EXPECT_NO_THROW(assemble(".org 0xFFF0\n    .space 16\n"));
 }
 
 TEST(AssemblerErrors, SurvivesMutatedAppListings)

@@ -21,7 +21,6 @@
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "target/wisp.hh"
-#include "trace/vcd.hh"
 
 using namespace edb;
 
@@ -60,7 +59,7 @@ TEST(Oscilloscope, RisingEdgeCount)
     EXPECT_EQ(scope.risingEdges(0, 0, simulator.now()), 5u);
 }
 
-TEST(Oscilloscope, CsvAndVcdOutput)
+TEST(Oscilloscope, CsvOutput)
 {
     sim::Simulator simulator(3);
     baseline::Oscilloscope scope(simulator, "scope", sim::oneMs);
@@ -75,28 +74,6 @@ TEST(Oscilloscope, CsvAndVcdOutput)
     std::ostringstream csv;
     scope.writeCsv(csv);
     EXPECT_NE(csv.str().find("time_ms,vcap,pin"), std::string::npos);
-
-    std::ostringstream vcd;
-    scope.writeVcd(vcd);
-    std::string dump = vcd.str();
-    EXPECT_NE(dump.find("$var real 64 ! vcap $end"),
-              std::string::npos);
-    EXPECT_NE(dump.find("$var wire 1 \" pin $end"),
-              std::string::npos);
-    EXPECT_NE(dump.find("r2.5 !"), std::string::npos);
-    EXPECT_NE(dump.find("1\""), std::string::npos);
-}
-
-TEST(Vcd, RejectsMisuse)
-{
-    std::ostringstream os;
-    trace::VcdWriter vcd(os);
-    auto real = vcd.addReal("a");
-    auto wire = vcd.addWire("b");
-    vcd.changeReal(real, 0, 1.0);
-    EXPECT_THROW(vcd.addReal("late"), sim::FatalError);
-    EXPECT_THROW(vcd.changeReal(wire, 1, 2.0), sim::FatalError);
-    EXPECT_THROW(vcd.changeWire(real, 1, true), sim::FatalError);
 }
 
 TEST(Jtag, PowersTargetAndMasksIntermittence)

@@ -332,14 +332,16 @@ TEST(PowerSystem, SnapshotWiringMismatchIsRejected)
     PowerSystem saved(simulator, "saved", quietConfig(), &h);
     saved.addLoad("mcu", 0.5e-3, true);
     sim::SnapshotWriter w;
-    saved.saveState(w);
+    sim::StateIo save(w, &simulator);
+    saved.state(save);
     const std::vector<std::uint8_t> image = w.finish();
 
     auto restores = [&image, &simulator](PowerSystem &power) {
         sim::SnapshotReader r;
         EXPECT_TRUE(r.load(image));
         sim::EventRearmer rearmer(simulator);
-        power.restoreState(r, rearmer);
+        sim::StateIo io(r, &rearmer);
+        power.state(io);
         return r.ok();
     };
     PowerSystem same(simulator, "same", quietConfig(), &h);

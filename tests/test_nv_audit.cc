@@ -18,6 +18,7 @@
 #include "mem/nv_audit.hh"
 #include "runtime/libedb.hh"
 #include "sim/simulator.hh"
+#include "sim/snapshot.hh"
 #include "target/wisp.hh"
 
 using namespace edb;
@@ -216,6 +217,82 @@ TEST(NvAuditIntegration, LinkedListBugIsFlagged)
               target::layout::framBase + target::layout::framSize);
     EXPECT_GE(f.interval, 1u);
     EXPECT_GT(f.lossTick, 0);
+}
+
+std::vector<std::uint8_t>
+auditImage(const NvAuditor &audit)
+{
+    sim::SnapshotWriter w;
+    audit.saveState(w);
+    return w.finish();
+}
+
+TEST(NvAuditor, SnapshotRoundTripsFindingsAndOpenRecords)
+{
+    // Stop the buggy linked list where the auditor holds both a
+    // finding and an open record, restore into a fresh auditor, and
+    // compare everything it reports.
+    sim::Simulator simulator(1);
+    energy::RfHarvester rf(30.0, 1.0);
+    target::Wisp wisp(simulator, "wisp", &rf);
+    NvAuditor audit(wisp.auditConfig(), wisp.framRegion());
+    wisp.attachAuditor(&audit);
+    wisp.flash(apps::buildLinkedListApp());
+    wisp.start();
+    while ((audit.findings().empty() || audit.openRecords() == 0) &&
+           simulator.now() < 10 * sim::oneSec)
+        simulator.runFor(sim::oneMs);
+    ASSERT_FALSE(audit.findings().empty());
+    ASSERT_GT(audit.openRecords(), 0u);
+    const std::vector<std::uint8_t> image = auditImage(audit);
+
+    NvAuditor copy(wisp.auditConfig(), wisp.framRegion());
+    sim::SnapshotReader r;
+    ASSERT_TRUE(r.load(image));
+    copy.restoreState(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.atEnd());
+
+    ASSERT_EQ(copy.findings().size(), audit.findings().size());
+    for (std::size_t i = 0; i < audit.findings().size(); ++i) {
+        const NvFinding &a = audit.findings()[i];
+        const NvFinding &b = copy.findings()[i];
+        EXPECT_EQ(b.guideAddr, a.guideAddr);
+        EXPECT_EQ(b.storeAddr, a.storeAddr);
+        EXPECT_EQ(b.storePc, a.storePc);
+        EXPECT_EQ(b.interval, a.interval);
+        EXPECT_EQ(b.lossTick, a.lossTick);
+    }
+    EXPECT_EQ(copy.openRecords(), audit.openRecords());
+    EXPECT_EQ(copy.violationCount(), audit.violationCount());
+    EXPECT_EQ(copy.unsealedRestoreCount(), audit.unsealedRestoreCount());
+    EXPECT_EQ(copy.intervalIndex(), audit.intervalIndex());
+    EXPECT_EQ(copy.intervalReads(), audit.intervalReads());
+    EXPECT_EQ(copy.intervalWrites(), audit.intervalWrites());
+    EXPECT_EQ(copy.shadowValid(), audit.shadowValid());
+    EXPECT_EQ(copy.shadowTick(), audit.shadowTick());
+    EXPECT_EQ(auditImage(copy), image);
+}
+
+TEST(NvAuditor, SnapshotHugeRecordCountFailsFast)
+{
+    // A crafted record count must be rejected before the records are
+    // allocated (2^32 records would not fit in memory).
+    Ram fram("fram", 0x4000, 0x1000, RegionKind::Fram);
+    NvAuditor audit(NvAuditConfig{}, fram);
+    sim::SnapshotWriter w;
+    w.section("nvau");
+    for (unsigned i = 0; i < NvAuditor::numRegs; ++i) {
+        w.boolean(false);
+        w.u32(0);
+    }
+    w.u32(0xFFFFFFFFu);
+
+    sim::SnapshotReader r;
+    ASSERT_TRUE(r.load(w.finish()));
+    audit.restoreState(r);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(audit.openRecords(), 0u);
 }
 
 TEST(NvAuditIntegration, QuickstartCounterIsClean)

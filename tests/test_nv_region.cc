@@ -154,13 +154,15 @@ TEST(NvRegion, SnapshotRoundTripsBurstInFlight)
     nv.noteBurstWord();
 
     sim::SnapshotWriter w;
-    nv.saveState(w);
+    sim::StateIo save(w);
+    nv.state(save);
     const std::vector<std::uint8_t> image = w.finish();
 
     mem::NvRegion copy = makeRegion(mem::flashTech());
     sim::SnapshotReader r;
     ASSERT_TRUE(r.load(image));
-    copy.restoreState(r);
+    sim::StateIo restore(r);
+    copy.state(restore);
     ASSERT_TRUE(r.ok());
 
     EXPECT_EQ(copy.read32(base + 0x20), 0x0BADF00Du);
@@ -183,12 +185,14 @@ TEST(NvRegion, SnapshotFromOtherTechnologyIsRejected)
     mem::NvRegion active = makeRegion(mem::flashTech());
     active.write32(base + 0x20, 0xCAFED00Du);
     sim::SnapshotWriter w;
-    active.saveState(w);
+    sim::StateIo save(w);
+    active.state(save);
 
     mem::NvRegion passive = makeRegion(mem::NvTechConfig{});
     sim::SnapshotReader r;
     ASSERT_TRUE(r.load(w.finish()));
-    passive.restoreState(r);
+    sim::StateIo restore(r);
+    passive.state(restore);
     EXPECT_FALSE(r.ok());
 }
 
@@ -198,13 +202,15 @@ TEST(NvRegion, SnapshotHugeWearCountFailsFast)
     // skipped word by word (2^63 reads would never finish).
     mem::NvRegion nv = makeRegion(mem::flashTech());
     sim::SnapshotWriter w;
-    nv.mem::Ram::saveState(w);
+    sim::StateIo save(w);
+    nv.mem::Ram::state(save);
     w.section("nvrg");
     w.u64(std::uint64_t{1} << 63);
 
     sim::SnapshotReader r;
     ASSERT_TRUE(r.load(w.finish()));
-    nv.restoreState(r);
+    sim::StateIo restore(r);
+    nv.state(restore);
     EXPECT_FALSE(r.ok());
 }
 

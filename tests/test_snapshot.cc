@@ -111,7 +111,7 @@ TEST(SnapshotContainer, RoundTripsTypedFields)
     w.boolean(true);
     w.f64(3.25);
     std::vector<std::uint8_t> payload{1, 2, 3};
-    w.blob(payload.data(), payload.size());
+    w.bytes(payload.data(), payload.size());
     sim::SnapshotReader r;
     ASSERT_TRUE(r.load(w.finish()));
     EXPECT_TRUE(r.section("t"));
@@ -121,7 +121,9 @@ TEST(SnapshotContainer, RoundTripsTypedFields)
     EXPECT_EQ(r.tick(), -42);
     EXPECT_TRUE(r.boolean());
     EXPECT_EQ(r.f64(), 3.25);
-    EXPECT_EQ(r.blob(), payload);
+    std::vector<std::uint8_t> back(payload.size());
+    r.bytes(back.data(), back.size());
+    EXPECT_EQ(back, payload);
     EXPECT_TRUE(r.ok());
     EXPECT_TRUE(r.atEnd());
 }

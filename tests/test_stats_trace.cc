@@ -120,28 +120,6 @@ TEST(SampleSet, SortedAfterInterleavedQueries)
     EXPECT_EQ(s.count(), 3u);
 }
 
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);   // bin 0
-    h.add(9.5);   // bin 9
-    h.add(-5.0);  // clamps to bin 0
-    h.add(100.0); // clamps to bin 9
-    h.add(5.0);   // bin 5
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.binCenter(9), 9.5);
-}
-
-TEST(Histogram, RejectsBadConfig)
-{
-    EXPECT_THROW(Histogram(0.0, 0.0, 10), edb::sim::FatalError);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), edb::sim::FatalError);
-}
-
 TEST(TraceBuffer, RecordsInOrderWithKinds)
 {
     TraceBuffer buffer;
