@@ -9,7 +9,6 @@
 #ifndef EDB_BENCH_COMMON_HH
 #define EDB_BENCH_COMMON_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -253,62 +252,6 @@ runConfigFields(Json &j, const Cli &cli, unsigned default_tags = 1)
     return j;
 }
 /// @}
-
-/**
- * Sample distribution for per-world reporting: fleets and soaks run
- * many independent worlds, and an aggregate sum hides the spread, so
- * summaries report min/mean/max and tail percentiles instead of (or
- * alongside) totals.
- */
-class Distribution
-{
-  public:
-    void add(double v) { samples.push_back(v); }
-
-    std::size_t n() const { return samples.size(); }
-
-    double
-    sum() const
-    {
-        double s = 0.0;
-        for (double v : samples)
-            s += v;
-        return s;
-    }
-
-    double mean() const { return samples.empty() ? 0.0 : sum() / n(); }
-
-    /** q in [0, 1]; nearest-rank on the sorted samples. */
-    double
-    percentile(double q) const
-    {
-        if (samples.empty())
-            return 0.0;
-        std::vector<double> s = samples;
-        std::sort(s.begin(), s.end());
-        double idx = q * static_cast<double>(s.size() - 1);
-        return s[static_cast<std::size_t>(idx + 0.5)];
-    }
-
-    double min() const { return percentile(0.0); }
-    double max() const { return percentile(1.0); }
-
-    Json
-    json() const
-    {
-        Json j;
-        j.field("n", static_cast<std::uint64_t>(n()))
-            .field("min", min())
-            .field("mean", mean())
-            .field("p50", percentile(0.5))
-            .field("p90", percentile(0.9))
-            .field("max", max());
-        return j;
-    }
-
-  private:
-    std::vector<double> samples;
-};
 
 /** Section banner. */
 inline void

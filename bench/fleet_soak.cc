@@ -32,6 +32,7 @@
 #include "common.hh"
 #include "fleet/fleet.hh"
 #include "fuzz/generator.hh"
+#include "trace/stats.hh"
 
 using namespace edb;
 
@@ -101,12 +102,27 @@ runFleet(const fleet::FleetConfig &cfg, unsigned epochs,
     return collect(fleet, nowSec() - t0);
 }
 
+/** Spread of one per-world counter: n, min, mean, interpolated
+ *  p50 / p90 and max. */
+bench::Json
+spreadJson(const trace::SampleSet &s)
+{
+    bench::Json j;
+    j.field("n", static_cast<std::uint64_t>(s.count()))
+        .field("min", s.summary().min())
+        .field("mean", s.summary().mean())
+        .field("p50", s.quantile(0.5))
+        .field("p90", s.quantile(0.9))
+        .field("max", s.summary().max());
+    return j;
+}
+
 /** Per-world distributions — each world's own counters, never a
  *  shared accumulator, so the spread across tags is real. */
 bench::Json
 perWorldJson(fleet::Fleet &fleet)
 {
-    bench::Distribution instrs, reboots, wear, torn;
+    trace::SampleSet instrs, reboots, wear, torn;
     for (std::size_t i = 0; i < fleet.size(); ++i) {
         fleet::World &w = fleet.world(i);
         const mcu::Mcu &m = w.wisp().mcu();
@@ -116,10 +132,10 @@ perWorldJson(fleet::Fleet &fleet)
         torn.add(static_cast<double>(w.wisp().framRegion().tornWrites()));
     }
     bench::Json j;
-    j.object("instrs", instrs.json())
-        .object("reboots", reboots.json())
-        .object("nv_wear", wear.json())
-        .object("nv_torn", torn.json());
+    j.object("instrs", spreadJson(instrs))
+        .object("reboots", spreadJson(reboots))
+        .object("nv_wear", spreadJson(wear))
+        .object("nv_torn", spreadJson(torn));
     return j;
 }
 
@@ -363,7 +379,6 @@ main(int argc, char **argv)
         RunResult r = collect(fleet, nowSec() - t0);
         bench::Json run = runJson(r, tags, threads);
         run.object("per_world", perWorldJson(fleet));
-        run.field("log_messages", fleet.logSink().total());
         summary.object("run", run);
     }
 

@@ -19,7 +19,6 @@
 #include "apps/linked_list.hh"
 #include "edb/board.hh"
 #include "energy/ekho.hh"
-#include "energy/harvester.hh"
 #include "sim/simulator.hh"
 #include "target/wisp.hh"
 
@@ -34,14 +33,16 @@ main()
     {
         sim::Simulator simulator(501);
         // A harsh, time-varying environment: the reader-to-tag
-        // distance drifts as the tag moves.
-        energy::ProfileHarvester field({
-            {0.0, 3.2, 3000.0},
-            {2.0, 3.2, 5200.0},
-            {4.0, 3.2, 3600.0},
-            {6.0, 3.2, 6500.0},
-            {8.0, 3.2, 4000.0},
-        });
+        // distance drifts as the tag moves. The source resistance is
+        // interpolated between these points and held after the last.
+        const energy::HarvestSample points[] = {
+            {0.0, 3.2, 3000.0}, {2.0, 3.2, 5200.0}, {4.0, 3.2, 3600.0},
+            {6.0, 3.2, 6500.0}, {8.0, 3.2, 4000.0},
+        };
+        energy::HarvestTrace profile;
+        for (const auto &point : points)
+            profile.add(point);
+        energy::RecordedHarvester field(profile, /*loop=*/false);
         target::Wisp wisp(simulator, "wisp", &field, nullptr);
         wisp.flash(apps::buildLinkedListApp());
         energy::HarvestRecorder recorder(simulator, "ekho", field,

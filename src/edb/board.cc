@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "runtime/protocol_defs.hh"
-#include "sim/logging.hh"
 
 namespace edb::edbdbg {
 

@@ -131,8 +131,6 @@ class EdbBoard : public sim::Component
     /** Enable/disable a stream by name ("energy", "iobus", "rfid",
      *  "watchpoints"); returns false for an unknown name. */
     bool setStream(const std::string &stream_name, bool on);
-    /** Latest ADC reading of the target's Vcap. */
-    double lastVcap() const { return lastVcapVolts; }
     /// @}
 
     /// @name Watchpoints

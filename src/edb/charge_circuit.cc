@@ -71,7 +71,6 @@ ChargeCircuit::controlStep()
     ++iterations;
     if (now() - rampStart >= rampDeadline ||
         iterations >= maxIterations) {
-        ++deadlineAborts_;
         finish(RampResult::DeadlineExceeded);
         return;
     }

@@ -98,9 +98,6 @@ class ChargeCircuit : public sim::Component
 
     const ChargeCircuitConfig &config() const { return cfg; }
 
-    /** Ramps abandoned on the deadline/iteration guard. */
-    std::uint64_t deadlineAborts() const { return deadlineAborts_; }
-
   private:
     enum class Mode { Off, Charging, Discharging };
 
@@ -117,7 +114,6 @@ class ChargeCircuit : public sim::Component
     sim::EventId loopEvent = sim::invalidEventId;
     sim::Tick rampStart = 0;
     std::uint64_t iterations = 0;
-    std::uint64_t deadlineAborts_ = 0;
 };
 
 } // namespace edb::edbdbg

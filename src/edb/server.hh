@@ -165,7 +165,6 @@ class ClientWire
     std::vector<std::uint8_t> serverDrain(std::size_t max_bytes);
     /** Queue bytes toward the client; false when over capacity. */
     bool toClient(const std::vector<std::uint8_t> &bytes);
-    std::size_t clientBacklog() const { return s2c.size(); }
     /// @}
 
   private:

@@ -1,10 +1,10 @@
 #include "energy/ekho.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -63,23 +63,33 @@ HarvestTrace::writeCsv(std::ostream &os) const
 HarvestTrace
 HarvestTrace::readCsv(std::istream &is)
 {
-    HarvestTrace trace;
+    static constexpr const char *header = "seconds,voc,rsrc";
     std::string line;
-    bool first = true;
-    while (std::getline(is, line)) {
-        if (first) {
-            first = false; // header
-            continue;
-        }
+    if (!std::getline(is, line) || line != header)
+        sim::fatal("HarvestTrace: line 1: expected the header '", header,
+                   "', got '", line, "'");
+    HarvestTrace trace;
+    for (std::size_t lineNo = 2; std::getline(is, line); ++lineNo) {
         if (line.empty())
             continue;
-        std::istringstream row(line);
-        HarvestSample sample;
-        char comma;
-        if (row >> sample.seconds >> comma >> sample.voc >> comma >>
-            sample.rsrc) {
-            trace.add(sample);
+        // Exactly three comma-separated finite numbers, nothing else.
+        const char *p = line.data();
+        const char *const end = p + line.size();
+        double v[3] = {};
+        bool ok = true;
+        for (int i = 0; ok && i < 3; ++i) {
+            if (i > 0)
+                ok = p != end && *p++ == ',';
+            auto [stop, ec] = std::from_chars(p, end, v[i]);
+            ok = ok && ec == std::errc() && std::isfinite(v[i]);
+            p = stop;
         }
+        if (!ok || p != end)
+            sim::fatal("HarvestTrace: line ", lineNo,
+                       ": expected seconds,voc,rsrc as three finite "
+                       "numbers, got '",
+                       line, "'");
+        trace.add({v[0], v[1], v[2]});
     }
     return trace;
 }

@@ -62,7 +62,11 @@ class HarvestTrace
     /** Serialize as CSV: seconds,voc,rsrc. */
     void writeCsv(std::ostream &os) const;
 
-    /** Parse the CSV produced by writeCsv. */
+    /**
+     * Parse the CSV produced by writeCsv: the header, then rows of
+     * exactly three comma-separated finite numbers (blank lines are
+     * skipped). Throws sim::FatalError naming the first bad line.
+     */
     static HarvestTrace readCsv(std::istream &is);
 
     const std::vector<HarvestSample> &all() const { return samples; }

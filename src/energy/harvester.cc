@@ -1,6 +1,5 @@
 #include "energy/harvester.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -70,51 +69,6 @@ double
 RfHarvester::openCircuitVoltage(double) const
 {
     return carrierOn ? rectifierVoc : 0.0;
-}
-
-ProfileHarvester::ProfileHarvester(std::vector<Point> points)
-    : profile(std::move(points))
-{
-    if (profile.empty())
-        sim::fatal("ProfileHarvester: profile must not be empty");
-    for (const auto &p : profile) {
-        if (p.rsrc <= 0.0)
-            sim::fatal("ProfileHarvester: rsrc must be > 0");
-    }
-}
-
-ProfileHarvester::Point
-ProfileHarvester::at(double seconds) const
-{
-    if (seconds <= profile.front().seconds)
-        return profile.front();
-    if (seconds >= profile.back().seconds)
-        return profile.back();
-    auto hi = std::lower_bound(
-        profile.begin(), profile.end(), seconds,
-        [](const Point &p, double t) { return p.seconds < t; });
-    auto lo = hi - 1;
-    double span = hi->seconds - lo->seconds;
-    double frac = span > 0.0 ? (seconds - lo->seconds) / span : 0.0;
-    Point out;
-    out.seconds = seconds;
-    out.voc = lo->voc + frac * (hi->voc - lo->voc);
-    out.rsrc = lo->rsrc + frac * (hi->rsrc - lo->rsrc);
-    return out;
-}
-
-double
-ProfileHarvester::currentInto(double cap_volts, double seconds) const
-{
-    Point p = at(seconds);
-    double i = (p.voc - cap_volts) / p.rsrc;
-    return i > 0.0 ? i : 0.0;
-}
-
-double
-ProfileHarvester::openCircuitVoltage(double seconds) const
-{
-    return at(seconds).voc;
 }
 
 } // namespace edb::energy

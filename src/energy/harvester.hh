@@ -14,7 +14,6 @@
 #define EDB_ENERGY_HARVESTER_HH
 
 #include <memory>
-#include <vector>
 
 #include "sim/fault.hh"
 
@@ -124,33 +123,6 @@ class RfHarvester : public Harvester
     double distanceM;
     double rsrc = 1.0;
     bool carrierOn = true;
-};
-
-/**
- * Piecewise-linear time-varying Thevenin source, e.g. a recorded
- * solar profile (the CCTS-style simulation in related work). Points
- * are (seconds, voc, rsrc); values are interpolated between points
- * and held after the last point.
- */
-class ProfileHarvester : public Harvester
-{
-  public:
-    struct Point
-    {
-        double seconds;
-        double voc;
-        double rsrc;
-    };
-
-    explicit ProfileHarvester(std::vector<Point> points);
-
-    double currentInto(double cap_volts, double seconds) const override;
-    double openCircuitVoltage(double seconds) const override;
-
-  private:
-    Point at(double seconds) const;
-
-    std::vector<Point> profile;
 };
 
 /** A harvester that supplies nothing (bench operation on a supply). */

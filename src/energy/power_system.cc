@@ -25,7 +25,8 @@ PowerSystem::PowerSystem(sim::Simulator &simulator,
     powered = cap.voltage() >= cfg.turnOnVolts;
     lastUpdate = simulator.now();
     noiseEnabled = cfg.harvestNoiseSigma > 0.0;
-    refreshFlatSource();
+    flatSource = cfg.engine == Engine::Fast &&
+                 harvester->theveninParams(flatVoc, flatRsrc);
 }
 
 void

@@ -223,9 +223,6 @@ class PowerSystem : public sim::Component
     /** Register a power-state listener. */
     void addPowerListener(PowerListener listener);
 
-    /** Stored energy in joules at present voltage. */
-    double storedEnergy() { return cap.energyAt(voltage()); }
-
     /** Max storable energy (at turn-on voltage), the paper's "%* of
      *  storage capacity" denominator. */
     double
@@ -237,14 +234,6 @@ class PowerSystem : public sim::Component
     /** Direct capacitor access for instruments and tests. */
     Capacitor &capacitor() { return cap; }
     const PowerSystemConfig &config() const { return cfg; }
-
-    /** Swap the harvester model (non-owning). */
-    void
-    setHarvester(const Harvester *h)
-    {
-        harvester = h;
-        refreshFlatSource();
-    }
 
     /// @name Charge accounting (for conservation checks)
     /// @{
@@ -338,15 +327,6 @@ class PowerSystem : public sim::Component
     void tick();
     void invalidateLoadSum() { loadSumValid = false; }
 
-    /** Re-probe the harvester for the inlineable constant-Thevenin
-     *  form (fast engine only; the arithmetic is identical). */
-    void
-    refreshFlatSource()
-    {
-        flatSource = cfg.engine == Engine::Fast && harvester &&
-                     harvester->theveninParams(flatVoc, flatRsrc);
-    }
-
     PowerSystemConfig cfg;
     const Harvester *harvester;
     Capacitor cap;
@@ -364,7 +344,9 @@ class PowerSystem : public sim::Component
     static constexpr double maxStepSeconds =
         sim::secondsFromTicks(maxStep);
     bool noiseEnabled = false;
-    /** Harvester devirtualization (see refreshFlatSource). */
+    /** The harvester's inlineable constant-Thevenin form, probed once
+     *  at construction (fast engine only; the arithmetic is
+     *  identical). */
     bool flatSource = false;
     double flatVoc = 0.0;
     double flatRsrc = 1.0;

@@ -9,8 +9,7 @@ namespace edb::fleet {
 
 Fleet::Fleet(FleetConfig config, FirmwareFn firmware)
     : cfg(config), pool_(config.threads),
-      arbiter_({}, sim::deriveSeed(config.seed, arbiterStream)),
-      sink_(/*keep_last=*/64)
+      arbiter_({}, sim::deriveSeed(config.seed, arbiterStream))
 {
     if (!firmware)
         firmware = [](std::uint32_t) { return defaultFirmware(); };
@@ -84,7 +83,6 @@ Fleet::buildWorlds(const FirmwareFn &firmware)
             wc.warDoneWatch = prog.symbol("war_done");
 
         auto w = std::make_unique<World>(prog, wc);
-        w->simulator().logger().setSink(&sink_);
         w->start();
         worlds.push_back(std::move(w));
         worldImage.push_back(&prog);

@@ -50,7 +50,6 @@
 #include "fleet/pool.hh"
 #include "fleet/world.hh"
 #include "rfid/channel.hh"
-#include "sim/logging.hh"
 
 namespace edb::fleet {
 
@@ -133,8 +132,6 @@ class Fleet
     const rfid::SlottedArbiter &arbiter() const { return arbiter_; }
     const WorkStealingPool &pool() const { return pool_; }
     const ChannelStats &channelStats() const { return chan; }
-    /** Shared thread-safe sink all world loggers feed. */
-    sim::AggregatingSink &logSink() { return sink_; }
     /** Current home shard of world `i` (rebalancing re-homes it). */
     unsigned homeShardOf(std::size_t i) const { return homeShard[i]; }
     /** Assembled firmware image world `i` runs (shared across
@@ -172,7 +169,6 @@ class Fleet
     FleetConfig cfg;
     WorkStealingPool pool_;
     rfid::SlottedArbiter arbiter_;
-    sim::AggregatingSink sink_;
 
     /** Assembled images, shared across worlds with equal listings. */
     std::map<std::string, isa::Program> images;

@@ -7,9 +7,9 @@
  * Isolation contract: between `planEpoch` (sequential, at the epoch
  * barrier) and the barrier's completion, a world is touched by
  * exactly one pool worker, and nothing a world owns is reachable
- * from any other world — its Simulator, RNG, logger, memories and
- * peripherals are all instance state. The only shared object is the
- * fleet's thread-safe log sink.
+ * from any other world — its Simulator, RNG, memories and
+ * peripherals are all instance state. Worlds share no mutable
+ * object.
  *
  * A world lives at one address for the fleet's whole life. The
  * shard rebalancer only changes which pool shard the world's task is
@@ -109,7 +109,6 @@ class World
     /// @name Accessors
     /// @{
     const WorldConfig &config() const { return cfg; }
-    sim::Simulator &simulator() { return sim; }
     target::Wisp &wisp() { return *wisp_; }
     const target::Wisp &wisp() const { return *wisp_; }
     mem::NvAuditor *auditor() { return aud.get(); }
@@ -120,9 +119,6 @@ class World
     /// @{
     std::uint64_t instrCount() const;
     std::uint64_t instrsThisEpoch() const;
-    std::uint64_t repliesWon() const { return replies; }
-    std::uint64_t collisionsSeen() const { return collided; }
-    std::uint64_t attemptsMade() const { return attempts; }
     /** Power losses observed after the WAR gadget completed. */
     std::uint64_t lossesAfterGadget() const { return lossAfterGadget; }
     /// @}

@@ -160,9 +160,6 @@ class Mcu : public sim::Component
     /// @{
     /** Flash a program image into memory and set vectors. */
     void loadProgram(const isa::Program &program);
-    void setEntry(mem::Addr addr) { entry = addr; }
-    void setIrqHandler(mem::Addr addr) { irqHandler = addr; }
-    mem::Addr entryPoint() const { return entry; }
     /// @}
 
     /// @name Core state
@@ -216,7 +213,6 @@ class Mcu : public sim::Component
      * selector.
      */
     void setNvRegion(mem::NvRegion *region) { nv_ = region; }
-    mem::NvRegion *nvRegion() const { return nv_; }
 
     /**
      * Attach the fault injector of the interruptible commit path
@@ -236,8 +232,7 @@ class Mcu : public sim::Component
     /** Snapshot fields, both directions (see sim/snapshot.hh). */
     void state(sim::StateIo &io);
 
-    /** Live checkpoint-unit enable (also via MMIO chkptCtl). */
-    void setCheckpointingEnabled(bool on) { chkptEnabled = on; }
+    /** Live checkpoint-unit enable (set via MMIO chkptCtl). */
     bool checkpointingEnabled() const { return chkptEnabled; }
 
     /** True while in a timed low-power wait (see mmio::sleep). */

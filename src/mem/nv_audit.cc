@@ -196,14 +196,6 @@ NvAuditor::reset()
     unsealedRestores_ = 0;
 }
 
-std::vector<NvFinding>
-NvAuditor::takeFindings()
-{
-    std::vector<NvFinding> out;
-    out.swap(findings_);
-    return out;
-}
-
 void
 NvAuditor::saveState(sim::SnapshotWriter &w) const
 {

@@ -153,8 +153,6 @@ class NvAuditor
     /// @name Findings
     /// @{
     const std::vector<NvFinding> &findings() const { return findings_; }
-    /** Drain findings (session reporting). */
-    std::vector<NvFinding> takeFindings();
     /** Total violations observed, including beyond the cap. */
     std::uint64_t violationCount() const { return violations; }
     /** Restores whose frame CRC did not match a recorded commit. */

@@ -28,10 +28,6 @@ RfChannel::airTime(Direction direction, const Frame &frame) const
 void
 RfChannel::send(Direction direction, Frame frame, sim::Tick when)
 {
-    if (direction == Direction::ReaderToTag)
-        ++downFrames;
-    else
-        ++upFrames;
     if (sim().rng().chance(cfg.corruptionProbability)) {
         frame.corrupted = true;
         ++corrupted;
@@ -56,15 +52,9 @@ RfChannel::deliver(Direction direction, Frame frame, sim::Tick when)
             tag->frameArrived(frame);
     } else if (reader) {
         // The reader sees corrupted replies as undecodable noise and
-        // counts them separately.
+        // drops them.
         reader->frameArrived(frame, when);
     }
-}
-
-std::uint64_t
-RfChannel::framesSent(Direction direction) const
-{
-    return direction == Direction::ReaderToTag ? downFrames : upFrames;
 }
 
 SlottedArbiter::SlottedArbiter(RfEnvConfig config, std::uint64_t seed)
@@ -110,7 +100,6 @@ SlottedArbiter::resolve(std::uint64_t round,
     ++rounds;
     singles += roundSingles;
     collisions += roundCollided;
-    idles += slots - occupied;
     // Gen2-style Q adaptation, on round totals (deterministic).
     if (roundCollided > roundSingles && q_ < maxQ)
         ++q_;

@@ -73,7 +73,6 @@ class RfChannel : public sim::Component
 
     /// @name Statistics
     /// @{
-    std::uint64_t framesSent(Direction direction) const;
     std::uint64_t framesCorrupted() const { return corrupted; }
     /// @}
 
@@ -84,8 +83,6 @@ class RfChannel : public sim::Component
     RfFrontend *tag = nullptr;
     RfidReader *reader = nullptr;
     std::vector<Tap> taps;
-    std::uint64_t downFrames = 0;
-    std::uint64_t upFrames = 0;
     std::uint64_t corrupted = 0;
 };
 
@@ -150,7 +147,6 @@ class SlottedArbiter
     std::uint64_t roundsResolved() const { return rounds; }
     std::uint64_t singlesTotal() const { return singles; }
     std::uint64_t collisionsTotal() const { return collisions; }
-    std::uint64_t idleSlotsTotal() const { return idles; }
     /// @}
 
   private:
@@ -159,7 +155,6 @@ class SlottedArbiter
     std::uint64_t rounds = 0;
     std::uint64_t singles = 0;
     std::uint64_t collisions = 0;
-    std::uint64_t idles = 0;
 };
 
 } // namespace edb::rfid

@@ -54,10 +54,8 @@ RfidReader::slot()
 void
 RfidReader::frameArrived(const Frame &frame, sim::Tick)
 {
-    if (frame.corrupted) {
-        ++corrupt;
+    if (frame.corrupted)
         return;
-    }
     if (frame.type == MsgType::RspGeneric)
         ++replies;
 }

@@ -51,7 +51,6 @@ class RfidReader : public sim::Component
     /// @{
     std::uint64_t queriesSent() const { return queries; }
     std::uint64_t repliesReceived() const { return replies; }
-    std::uint64_t corruptReplies() const { return corrupt; }
     /** Replies / queries, the Fig 12 response-rate metric. */
     double responseRate() const;
     /// @}
@@ -66,7 +65,6 @@ class RfidReader : public sim::Component
     sim::EventId slotEvent = sim::invalidEventId;
     std::uint64_t queries = 0;
     std::uint64_t replies = 0;
-    std::uint64_t corrupt = 0;
 };
 
 } // namespace edb::rfid

@@ -1,50 +1,19 @@
 /**
  * @file
- * Leveled logging and fatal-error helpers for the simulator.
- *
- * Follows the gem5 convention: `panic` is for internal simulator bugs
- * (aborts), `fatal` is for user/configuration errors (throws so tests
- * can assert on it), `warn`/`inform` are advisory console output.
- *
- * Two layers:
- *
- *  - the free functions (`warn(...)`, `inform(...)`, ...) write
- *    through one process-wide `Logger`. Since PR 8 that logger is
- *    thread-safe (atomic level, mutexed sink), so stray diagnostics
- *    from fleet worker threads cannot interleave mid-line or race;
- *  - a `Logger` *instance* can be owned by a world (`sim::Simulator`
- *    holds one), giving every world of a fleet its own verbosity and
- *    its own sink with no shared mutable state on the hot path.
- *    Components log through `Component::logger()`.
- *
- * Sinks are pluggable. `AggregatingSink` is a thread-safe sink many
- * world loggers can share: it counts messages per level and retains
- * the most recent few for a fleet-level report, instead of letting a
- * thousand worlds write to stderr concurrently.
+ * The simulator's one diagnostic path: `fatal` reports a
+ * user/configuration error by throwing `FatalError`, so callers and
+ * tests can catch and assert on it.
  */
 
 #ifndef EDB_SIM_LOGGING_HH
 #define EDB_SIM_LOGGING_HH
 
-#include <array>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <deque>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
 namespace edb::sim {
-
-/** Severity levels for simulation logging. */
-enum class LogLevel { Silent = 0, Warn = 1, Inform = 2, Debug = 3 };
-
-/** Global log verbosity. Defaults to Warn; tests may silence it. */
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
 
 /** Error thrown by `fatal` — a user-correctable configuration error. */
 class FatalError : public std::runtime_error
@@ -55,100 +24,7 @@ class FatalError : public std::runtime_error
     {}
 };
 
-/** Destination for log messages. Implementations must be safe to
- *  call from multiple threads when shared between world loggers. */
-class LogSink
-{
-  public:
-    virtual ~LogSink() = default;
-    virtual void write(LogLevel level, const std::string &tag,
-                       const std::string &msg) = 0;
-};
-
-/** Default sink: stderr, one line per message, mutexed so
- *  concurrent writers never interleave mid-line. */
-class StderrSink : public LogSink
-{
-  public:
-    void
-    write(LogLevel, const std::string &tag,
-          const std::string &msg) override
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        std::fprintf(stderr, "[%s] %s\n", tag.c_str(), msg.c_str());
-    }
-
-  private:
-    std::mutex mtx;
-};
-
-/**
- * Thread-safe aggregating sink for fleets: counts per level, retains
- * the most recent `keep` messages, and optionally forwards to
- * another sink. Attach one instance to every world logger and read
- * the totals after the run.
- */
-class AggregatingSink : public LogSink
-{
-  public:
-    explicit AggregatingSink(std::size_t keep_last = 16,
-                             LogSink *forward_to = nullptr)
-        : keep(keep_last), forward(forward_to)
-    {}
-
-    void
-    write(LogLevel level, const std::string &tag,
-          const std::string &msg) override
-    {
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            ++counts_[static_cast<std::size_t>(level)];
-            recent_.push_back("[" + tag + "] " + msg);
-            if (recent_.size() > keep)
-                recent_.pop_front();
-        }
-        if (forward)
-            forward->write(level, tag, msg);
-    }
-
-    /** Messages seen at `level`. */
-    std::uint64_t
-    count(LogLevel level) const
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        return counts_[static_cast<std::size_t>(level)];
-    }
-
-    /** Total messages seen. */
-    std::uint64_t
-    total() const
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        std::uint64_t t = 0;
-        for (auto c : counts_)
-            t += c;
-        return t;
-    }
-
-    /** Copy of the retained tail, oldest first. */
-    std::vector<std::string>
-    recent() const
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        return {recent_.begin(), recent_.end()};
-    }
-
-  private:
-    std::size_t keep;
-    LogSink *forward;
-    mutable std::mutex mtx;
-    std::array<std::uint64_t, 4> counts_{};
-    std::deque<std::string> recent_;
-};
-
 namespace detail {
-
-void emit(LogLevel level, const std::string &tag, const std::string &msg);
 
 template <typename... Args>
 std::string
@@ -161,111 +37,12 @@ format(Args &&...args)
 
 } // namespace detail
 
-/**
- * An instance logger: per-world verbosity and sink. The sink is
- * non-owning and defaults to the process-wide stderr sink; the level
- * is atomic so a supervisor thread may retune a running world.
- */
-class Logger
-{
-  public:
-    explicit Logger(LogLevel level = LogLevel::Warn,
-                    LogSink *sink = nullptr)
-        : level_(level), sink_(sink)
-    {}
-
-    LogLevel level() const { return level_.load(std::memory_order_relaxed); }
-    void
-    setLevel(LogLevel level)
-    {
-        level_.store(level, std::memory_order_relaxed);
-    }
-
-    /** Replace the sink (non-owning; nullptr = process default). */
-    void setSink(LogSink *sink) { sink_ = sink; }
-    LogSink *sink() const { return sink_; }
-
-    void write(LogLevel level, const std::string &tag,
-               const std::string &msg);
-
-    template <typename... Args>
-    void
-    warn(Args &&...args)
-    {
-        if (level() >= LogLevel::Warn)
-            write(LogLevel::Warn, "warn",
-                  detail::format(std::forward<Args>(args)...));
-    }
-
-    template <typename... Args>
-    void
-    inform(Args &&...args)
-    {
-        if (level() >= LogLevel::Inform)
-            write(LogLevel::Inform, "info",
-                  detail::format(std::forward<Args>(args)...));
-    }
-
-    template <typename... Args>
-    void
-    debug(Args &&...args)
-    {
-        if (level() >= LogLevel::Debug)
-            write(LogLevel::Debug, "debug",
-                  detail::format(std::forward<Args>(args)...));
-    }
-
-  private:
-    std::atomic<LogLevel> level_;
-    LogSink *sink_;
-};
-
-/** The process-wide logger behind the free functions. */
-Logger &globalLogger();
-
 /** Report a user/configuration error; throws FatalError. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
     throw FatalError(detail::format(std::forward<Args>(args)...));
-}
-
-/** Report an internal simulator bug; aborts the process. */
-template <typename... Args>
-[[noreturn]] void
-panic(Args &&...args)
-{
-    detail::emit(LogLevel::Silent, "panic",
-                 detail::format(std::forward<Args>(args)...));
-    std::abort();
-}
-
-/** Advisory warning (printed at LogLevel::Warn and above). */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    detail::emit(LogLevel::Warn, "warn",
-                 detail::format(std::forward<Args>(args)...));
-}
-
-/** Informational message (printed at LogLevel::Inform and above). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::emit(LogLevel::Inform, "info",
-                 detail::format(std::forward<Args>(args)...));
-}
-
-/** Debug-level message (printed at LogLevel::Debug). */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    detail::emit(LogLevel::Debug, "debug",
-                 detail::format(std::forward<Args>(args)...));
 }
 
 } // namespace edb::sim

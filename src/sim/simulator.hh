@@ -3,10 +3,9 @@
  * Top-level simulation driver.
  *
  * A `Simulator` owns the event queue, the global clock and the
- * deterministic RNG. Components register themselves so the simulator
- * can enumerate them for diagnostics; ownership of components stays
- * with the caller (typically a device assembly such as `target::Wisp`
- * or `edbdbg::EdbBoard`).
+ * deterministic RNG. Components keep a reference to it; ownership of
+ * components stays with the caller (typically a device assembly such
+ * as `target::Wisp` or `edbdbg::EdbBoard`).
  */
 
 #ifndef EDB_SIM_SIMULATOR_HH
@@ -14,16 +13,12 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/event.hh"
-#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/time.hh"
 
 namespace edb::sim {
-
-class Component;
 
 /**
  * Event-driven simulation kernel.
@@ -46,15 +41,6 @@ class Simulator
     /** Deterministic RNG shared by all stochastic models. */
     Rng &rng() { return rngState; }
     const Rng &rng() const { return rngState; }
-
-    /**
-     * World-owned logger. Defaults to the process-wide stderr sink
-     * at Warn; a fleet supervisor re-points it at a shared
-     * thread-safe aggregating sink so concurrently running worlds
-     * never contend on (or interleave in) stderr.
-     */
-    Logger &logger() { return logger_; }
-    const Logger &logger() const { return logger_; }
 
     /** Schedule a callback at an absolute time (must be >= now). */
     EventId
@@ -92,26 +78,18 @@ class Simulator
     Tick
     runUntil(Tick until)
     {
-        stopping = false;
-        while (!stopping) {
-            Tick next = events.nextTime();
-            if (next > until) {
-                if (until > currentTick)
-                    currentTick = until;
-                break;
-            }
+        while (events.nextTime() <= until) {
             EventQueue::Callback cb;
             Tick when = currentTick;
-            if (!events.popNext(when, cb)) {
-                if (until > currentTick)
-                    currentTick = until;
+            if (!events.popNext(when, cb))
                 break;
-            }
             // The clock advances before the callback runs, so
             // now() is exact inside event handlers.
             currentTick = when;
             cb();
         }
+        if (until > currentTick)
+            currentTick = until;
         return currentTick;
     }
 
@@ -122,8 +100,7 @@ class Simulator
     Tick
     runToCompletion()
     {
-        stopping = false;
-        while (!stopping && !events.empty()) {
+        while (!events.empty()) {
             EventQueue::Callback cb;
             Tick when = currentTick;
             if (!events.popNext(when, cb))
@@ -134,9 +111,6 @@ class Simulator
         return currentTick;
     }
 
-    /** Request that the current `run*` call return after this event. */
-    void stop() { stopping = true; }
-
     /**
      * Force the event clock (snapshot restore only). Must not be
      * called while a `run*` call is in progress, and the caller is
@@ -144,41 +118,24 @@ class Simulator
      */
     void restoreClock(Tick t) { currentTick = t; }
 
-    /** Register a component for enumeration (non-owning). */
-    void addComponent(Component *component)
-    {
-        componentList.push_back(component);
-    }
-
-    /** All registered components (non-owning). */
-    const std::vector<Component *> &components() const
-    {
-        return componentList;
-    }
-
   private:
     EventQueue events;
     Tick currentTick = 0;
-    bool stopping = false;
     Rng rngState;
-    Logger logger_;
-    std::vector<Component *> componentList;
 };
 
 /**
  * Base class for named simulation components.
  *
- * Provides the back-pointer to the owning simulator and a
- * hierarchical name used in logs and traces.
+ * Provides the back-pointer to the owning simulator and an
+ * instance name.
  */
 class Component
 {
   public:
     Component(Simulator &simulator, std::string component_name)
         : sim_(simulator), name_(std::move(component_name))
-    {
-        sim_.addComponent(this);
-    }
+    {}
 
     virtual ~Component() = default;
 
@@ -194,9 +151,6 @@ class Component
 
     /** Current simulated time (convenience). */
     Tick now() const { return sim_.now(); }
-
-    /** World-owned logger (convenience). */
-    Logger &logger() { return sim_.logger(); }
 
   private:
     Simulator &sim_;

@@ -85,17 +85,16 @@ SnapshotWriter::rng(const Rng &r)
 std::vector<std::uint8_t>
 SnapshotWriter::finish() const
 {
-    std::vector<std::uint8_t> image;
-    image.reserve(headerSize + buf.size());
-    image.insert(image.end(), magic, magic + 8);
-    auto push32 = [&image](std::uint32_t v) {
+    std::vector<std::uint8_t> image(headerSize + buf.size());
+    std::memcpy(image.data(), magic, 8);
+    auto write32 = [&image](std::size_t at, std::uint32_t v) {
         for (int i = 0; i < 4; ++i)
-            image.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            image[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
     };
-    push32(version);
-    push32(static_cast<std::uint32_t>(buf.size()));
-    push32(crc32(buf.data(), buf.size()));
-    image.insert(image.end(), buf.begin(), buf.end());
+    write32(8, version);
+    write32(12, static_cast<std::uint32_t>(buf.size()));
+    write32(16, crc32(buf.data(), buf.size()));
+    std::copy(buf.begin(), buf.end(), image.begin() + headerSize);
     return image;
 }
 

@@ -13,7 +13,6 @@
 #define EDB_TRACE_TRACE_HH
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -55,23 +54,14 @@ struct Record
     std::string text;
 };
 
-/**
- * In-memory trace sink with filtering helpers.
- *
- * Also supports a tap callback so interactive tooling (the console)
- * can stream records as they arrive.
- */
+/** In-memory trace sink with filtering helpers. */
 class TraceBuffer
 {
   public:
-    using Tap = std::function<void(const Record &)>;
-
-    /** Append a record. */
+    /** Append a record (dropped while retention is disabled). */
     void
     push(Record record)
     {
-        if (tap)
-            tap(record);
         if (enabled)
             records.push_back(std::move(record));
     }
@@ -96,11 +86,8 @@ class TraceBuffer
     /** Drop all records. */
     void clear() { records.clear(); }
 
-    /** Enable/disable retention (tap still fires when disabled). */
+    /** Enable/disable retention. */
     void setEnabled(bool on) { enabled = on; }
-
-    /** Install a streaming tap (replaces any existing tap). */
-    void setTap(Tap t) { tap = std::move(t); }
 
     /** Write all records as CSV: time_ms,kind,id,a,b,text. */
     void writeCsv(std::ostream &os) const;
@@ -108,7 +95,6 @@ class TraceBuffer
   private:
     std::vector<Record> records;
     bool enabled = true;
-    Tap tap;
 };
 
 } // namespace edb::trace

@@ -182,6 +182,25 @@ TEST(Ekho, TraceRejectsBadSamples)
     EXPECT_THROW(
         { energy::RecordedHarvester bad(empty); (void)bad; },
         sim::FatalError);
+
+    // The CSV reader takes exactly three comma-separated finite
+    // numbers per row, under the writer's header.
+    auto load = [](const std::string &text) {
+        std::istringstream is(text);
+        return energy::HarvestTrace::readCsv(is);
+    };
+    EXPECT_EQ(load("seconds,voc,rsrc\n0,3.2,3000\n\n1e-05,-0,1e+12\n")
+                  .size(),
+              2u);
+    for (const char *row :
+         {"0;3.2;3000", "0,3.2,3000abc", "bogus", "0,3.2", "0,1e999,3000",
+          "0,nan,3000", "0,3.2,3000,1", " 0,3.2,3000", "0,,3000"}) {
+        EXPECT_THROW(load(std::string("seconds,voc,rsrc\n") + row + "\n"),
+                     sim::FatalError)
+            << row;
+    }
+    EXPECT_THROW(load(""), sim::FatalError);
+    EXPECT_THROW(load("time,voc,rsrc\n0,3.2,3000\n"), sim::FatalError);
 }
 
 TEST(Ekho, RecorderCapturesTheveninSurface)

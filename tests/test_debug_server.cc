@@ -960,8 +960,9 @@ TEST(VBreakCondition, SurvivesMalformedByteSoup)
         }
         std::string why;
         auto cond = VBreakCondition::parse(text, &why);
-        if (!cond.has_value())
+        if (!cond.has_value()) {
             EXPECT_FALSE(why.empty());
+        }
     }
 }
 

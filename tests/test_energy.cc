@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "energy/capacitor.hh"
+#include "energy/ekho.hh"
 #include "sim/logging.hh"
 #include "energy/harvester.hh"
 #include "energy/power_system.hh"
@@ -107,17 +108,15 @@ TEST(Harvester, RfRejectsBadDistance)
 
 TEST(Harvester, ProfileInterpolatesAndHolds)
 {
-    ProfileHarvester h({{0.0, 2.0, 1000.0}, {10.0, 4.0, 1000.0}});
+    HarvestTrace profile;
+    profile.add({0.0, 2.0, 1000.0});
+    profile.add({10.0, 4.0, 1000.0});
+    RecordedHarvester h(profile, /*loop=*/false);
     EXPECT_NEAR(h.openCircuitVoltage(0.0), 2.0, 1e-12);
     EXPECT_NEAR(h.openCircuitVoltage(5.0), 3.0, 1e-12);
     EXPECT_NEAR(h.openCircuitVoltage(10.0), 4.0, 1e-12);
     EXPECT_NEAR(h.openCircuitVoltage(100.0), 4.0, 1e-12); // hold
     EXPECT_NEAR(h.currentInto(1.0, 5.0), 2.0e-3, 1e-12);
-}
-
-TEST(Harvester, ProfileRejectsEmpty)
-{
-    EXPECT_THROW(ProfileHarvester({}), sim::FatalError);
 }
 
 TEST(Supply, CurrentIsSignedAndGated)

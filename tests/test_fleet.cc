@@ -239,15 +239,6 @@ TEST(Fleet, SeedChangesTrajectories)
     EXPECT_NE(fa.digests(), fb.digests());
 }
 
-TEST(Fleet, WorldLoggersShareTheAggregatingSink)
-{
-    fleet::Fleet f(testConfig(4, 0), {});
-    f.world(0).simulator().logger().warn("w0 says hi");
-    f.world(3).simulator().logger().warn("w3 says hi");
-    EXPECT_EQ(f.logSink().count(sim::LogLevel::Warn), 2u);
-    EXPECT_EQ(f.logSink().total(), 2u);
-}
-
 TEST(World, BackoffShrinksCarrierWindow)
 {
     const isa::Program prog =

@@ -135,12 +135,14 @@ TEST(SnapshotContainer, CorruptionIsDetected)
     w.u32(1234);
     auto image = w.finish();
     auto corrupt = image;
-    corrupt.back() ^= 0x01;
+    // at(), not back(): GCC 12 cannot tell the copy is non-empty
+    // and warns (-Wstringop-overflow) on an unchecked write.
+    corrupt.at(corrupt.size() - 1) ^= 0x01;
     sim::SnapshotReader r;
     EXPECT_FALSE(r.load(corrupt));
     EXPECT_FALSE(r.ok());
     auto truncated = image;
-    truncated.resize(truncated.size() - 1);
+    truncated.pop_back();
     EXPECT_FALSE(r.load(truncated));
     auto bad_magic = image;
     bad_magic[0] = 'X';

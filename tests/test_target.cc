@@ -14,7 +14,6 @@
 #include "energy/harvester.hh"
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
-#include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "target/wisp.hh"
 
